@@ -130,52 +130,64 @@ BM_VirtualPhysicalRenameRoundTrip(benchmark::State &state)
 }
 BENCHMARK(BM_VirtualPhysicalRenameRoundTrip);
 
+/** A full 128-entry IQ over its ROB, as PipelineState wires them. */
+struct IqBench
+{
+    IqBench() : pool(128), rob(128, pool), iq(128, rob)
+    {
+        iq.setTrackReady(false);  // no stage drains the ready list here
+    }
+
+    /** Allocate entry @p i (sequence i + 1) and make it a member. */
+    DynInst *
+    add(std::size_t i)
+    {
+        DynInst *d = rob.allocate();
+        d->si = makeAlu(i + 1).si;
+        d->setSeq(i + 1);
+        return d;
+    }
+
+    InstHotPool pool;
+    Rob rob;
+    InstQueue iq;
+};
+
 /** IQ broadcast wakeup over a full 128-entry queue. */
 void
 BM_IqWakeup(benchmark::State &state)
 {
-    InstHotPool pool(128);
-    InstQueue iq(128, pool);
-    iq.setTrackReady(false);  // no stage drains the ready list here
-    std::vector<DynInst> insts(128);
-    for (std::size_t i = 0; i < insts.size(); ++i) {
-        insts[i] = makeAlu(i + 1);
-        bindAt(pool, insts[i], static_cast<HotIdx>(i), i + 1);
-        insts[i].src[0].valid = true;
-        insts[i].src[0].cls = RegClass::Int;
-        insts[i].src[0].tag = static_cast<std::uint16_t>(i % 64);
-        iq.insert(&insts[i]);
+    IqBench b;
+    for (std::size_t i = 0; i < 128; ++i) {
+        DynInst *d = b.add(i);
+        d->src[0].valid = true;
+        d->src[0].cls = RegClass::Int;
+        d->src[0].tag = static_cast<std::uint16_t>(i % 64);
+        b.iq.insert(d);
     }
     std::uint16_t tag = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(iq.wakeup(RegClass::Int, tag, tag));
-        for (auto *inst : iq.entries())
-            inst->src[0].ready = false;  // rearm
+        benchmark::DoNotOptimize(b.iq.wakeup(RegClass::Int, tag, tag));
+        b.iq.forEachEntry(
+            [](DynInst *inst) { inst->src[0].ready = false; });  // rearm
         tag = (tag + 1) % 64;
     }
 }
 BENCHMARK(BM_IqWakeup);
 
-/** Issue-path IQ maintenance: remove a mid-queue entry by position and
- *  re-insert it (seq-ordered). Guards the no-snapshot issue scan and the
- *  binary-search remove. */
+/** Issue-path IQ maintenance: drop a mid-queue entry's membership and
+ *  re-insert it. Membership is a flag plus a count, so both are O(1). */
 void
 BM_IqRemoveReinsert(benchmark::State &state)
 {
-    InstHotPool pool(128);
-    InstQueue iq(128, pool);
-    iq.setTrackReady(false);  // no stage drains the ready list here
-    std::vector<DynInst> insts(128);
-    for (std::size_t i = 0; i < insts.size(); ++i) {
-        insts[i] = makeAlu(i + 1);
-        bindAt(pool, insts[i], static_cast<HotIdx>(i), i + 1);
-        iq.insert(&insts[i]);
-    }
+    IqBench b;
+    for (std::size_t i = 0; i < 128; ++i)
+        b.iq.insert(b.add(i));
+    DynInst *inst = &b.rob.at(37);
     for (auto _ : state) {
-        DynInst *inst = iq.at(37);
-        iq.removeAt(37);
-        benchmark::DoNotOptimize(iq.size());
-        iq.insert(inst);
+        b.iq.remove(inst);
+        benchmark::DoNotOptimize(b.iq.size());
+        b.iq.insert(inst);
     }
 }
 BENCHMARK(BM_IqRemoveReinsert);

@@ -26,6 +26,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/intmath.hh"
+
 namespace vpr::stats
 {
 
@@ -338,8 +340,17 @@ class Distribution : public StatBase
         } else if (v > hi) {
             ++over;
         } else {
-            ++buckets[(v - lo) / bsize];
+            ++buckets[bucketIndex(v)];
         }
+    }
+
+    /** Bucket of an in-range sample (lo <= v <= hi): (v - lo) /
+     *  bucket_size through a divisor prepared at construction, so the
+     *  per-cycle sampling path never divides. */
+    std::size_t
+    bucketIndex(std::uint64_t v) const
+    {
+        return static_cast<std::size_t>(bucketDiv.divide(v - lo));
     }
 
     std::uint64_t bucketCount(std::size_t i) const { return buckets.at(i); }
@@ -360,6 +371,7 @@ class Distribution : public StatBase
     std::uint64_t lo;
     std::uint64_t hi;
     std::uint64_t bsize;
+    ExactDivisor bucketDiv;
     std::vector<std::uint64_t> buckets;
     std::uint64_t under = 0;
     std::uint64_t over = 0;

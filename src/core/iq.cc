@@ -1,7 +1,5 @@
 #include "core/iq.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace vpr
@@ -34,62 +32,27 @@ void
 InstQueue::insert(DynInst *inst)
 {
     VPR_ASSERT(!full(), "insert into full IQ");
+    VPR_ASSERT(!inst->inIq(), "duplicate IQ entry sn:", inst->seq());
     inst->setInIq(true);
+    ++count;
     addWaiters(inst);
     maybePublishReady(inst);
-    if (list.empty() || list.back()->seq() < inst->seq()) {
-        list.push_back(inst);
-        return;
-    }
-    // Re-insertion after a write-back allocation squash: keep age order.
-    auto it = std::lower_bound(
-        list.begin(), list.end(), inst,
-        [](const DynInst *a, const DynInst *b) { return a->seq() < b->seq(); });
-    VPR_ASSERT(it == list.end() || (*it)->seq() != inst->seq(),
-               "duplicate IQ entry sn:", inst->seq());
-    list.insert(it, inst);
 }
 
 void
 InstQueue::remove(DynInst *inst)
 {
-    auto it = std::lower_bound(
-        list.begin(), list.end(), inst,
-        [](const DynInst *a, const DynInst *b) { return a->seq() < b->seq(); });
-    VPR_ASSERT(it != list.end() && *it == inst,
-               "IQ remove: entry not present");
+    VPR_ASSERT(inst->inIq(), "IQ remove: entry not present");
     inst->setInIq(false);
     inst->setInReadyQ(false);
-    list.erase(it);
-}
-
-void
-InstQueue::removeAt(std::size_t i)
-{
-    VPR_ASSERT(i < list.size(), "IQ removeAt: index out of range");
-    list[i]->setInIq(false);
-    list[i]->setInReadyQ(false);
-    list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
-}
-
-void
-InstQueue::squashYoungerThan(InstSeqNum seq)
-{
-    while (!list.empty() && list.back()->seq() > seq) {
-        list.back()->setInIq(false);
-        list.back()->setInReadyQ(false);
-        list.pop_back();
-    }
+    --count;
 }
 
 void
 InstQueue::clear()
 {
-    for (DynInst *inst : list) {
-        inst->setInIq(false);
-        inst->setInReadyQ(false);
-    }
-    list.clear();
+    forEachEntry([this](DynInst *inst) { remove(inst); });
+    VPR_ASSERT(count == 0, "IQ members outside the ROB");
     for (auto &lists : waitLists)
         lists.clear();
     readyEvents.clear();
@@ -103,7 +66,7 @@ InstQueue::wakeup(RegClass cls, std::uint16_t tag, std::uint16_t physReg)
 
     if (scanWakeup) {
         // Reference path: scan every queue entry for matching sources.
-        for (DynInst *inst : list) {
+        forEachEntry([&](DynInst *inst) {
             bool touched = false;
             for (auto &s : inst->src) {
                 if (s.valid && !s.ready && s.cls == cls && s.tag == tag) {
@@ -115,7 +78,7 @@ InstQueue::wakeup(RegClass cls, std::uint16_t tag, std::uint16_t physReg)
             }
             if (touched)
                 maybePublishReady(inst);
-        }
+        });
         woken += nWoken;
         return nWoken;
     }

@@ -9,6 +9,15 @@
  * by the allocated physical register. The conventional scheme broadcasts
  * physical tags and the capture is the identity.
  *
+ * Membership is a flag plus a count: an instruction is in the queue
+ * while its InstHotPool inIq flag is set, and the queue keeps only how
+ * many are. Every queued instruction also sits in the ROB, which is
+ * already age-ordered, so no second sorted container is kept: insert
+ * and remove are O(1), and branch recovery clears membership in the
+ * ROB-tail walk PipelineState::squashYoungerThan already does. The
+ * rare walks that need every entry in age order (the legacy scans,
+ * tests) go over the ROB and skip entries without the flag.
+ *
  * Wakeup is implemented with per-(class, tag) wait lists: a source that
  * enters the queue unready is recorded under its tag, and a broadcast
  * touches exactly the recorded waiters instead of scanning the whole
@@ -38,6 +47,7 @@
 
 #include "common/stats.hh"
 #include "core/dyn_inst.hh"
+#include "core/rob.hh"
 #include "isa/reg.hh"
 
 namespace vpr
@@ -47,8 +57,10 @@ namespace vpr
 class InstQueue
 {
   public:
-    InstQueue(std::size_t capacity, InstHotPool &hotPool)
-        : cap(capacity), hot(hotPool),
+    /** A queue of @p capacity entries over the instructions of
+     *  @p robRef (membership flags live in its hot-state pool). */
+    InstQueue(std::size_t capacity, Rob &robRef)
+        : cap(capacity), rob(robRef), hot(robRef.hotPool()),
           occupancy(stats::Distribution::evenBuckets(
               "occupancy", "entries occupied per cycle", 0, capacity, 16))
     {
@@ -57,40 +69,37 @@ class InstQueue
         group.add(&woken);
     }
 
-    bool full() const { return list.size() >= cap; }
-    bool empty() const { return list.empty(); }
-    std::size_t size() const { return list.size(); }
+    bool full() const { return count >= cap; }
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
     std::size_t capacity() const { return cap; }
 
     /**
-     * Insert @p inst keeping age order. Newly renamed instructions go to
-     * the back; re-inserted (squashed-at-writeback) instructions find
-     * their place by sequence number. Unready sources are recorded in
-     * the wakeup wait lists; an instruction whose issue operands are
+     * Make @p inst (a ROB entry) a member: newly renamed instructions
+     * and write-back re-insertions alike. Unready sources are recorded
+     * in the wakeup wait lists; an instruction whose issue operands are
      * already ready is published on the ready list.
      */
     void insert(DynInst *inst);
 
-    /**
-     * Remove a specific entry. The list is seq-ordered, so the entry is
-     * located by binary search — O(log n) compare plus the erase shift,
-     * not a linear scan.
-     */
+    /** Drop @p inst's membership (issue, or the recovery walk). */
     void remove(DynInst *inst);
 
-    /** Entry at age-order position @p i (0 = oldest). */
-    DynInst *
-    at(std::size_t i) const
+    /**
+     * Call @p visit(DynInst *) on every member, oldest first: a walk of
+     * the age-ordered ROB that skips entries without the inIq flag.
+     * @p visit may remove the entry it is given. For the legacy scans
+     * and tests only; nothing on the event-driven path walks the queue.
+     */
+    template <typename Visit>
+    void
+    forEachEntry(Visit &&visit)
     {
-        return list[i];
+        for (std::size_t i = 0; i < rob.size(); ++i) {
+            if (hot.isInIq(rob.slotAt(i)))
+                visit(&rob.at(i));
+        }
     }
-
-    /** Remove the entry at age-order position @p i — the legacy issue
-     *  scan, where the caller already knows the position. */
-    void removeAt(std::size_t i);
-
-    /** Remove every entry younger than @p seq (branch recovery). */
-    void squashYoungerThan(InstSeqNum seq);
 
     /**
      * Broadcast a completed value: sources of class @p cls waiting on
@@ -100,10 +109,9 @@ class InstQueue
      */
     unsigned wakeup(RegClass cls, std::uint16_t tag, std::uint16_t physReg);
 
-    /** Age-ordered entries, oldest first (the legacy selection scans
-     *  this). */
-    const std::vector<DynInst *> &entries() const { return list; }
-
+    /** Drop every member and wait list (simulator reuse between grid
+     *  cells). Call it before the ROB is cleared: the walk that drops
+     *  the membership flags goes over the ROB. */
     void clear();
 
     /** Use the legacy full-queue wakeup scan instead of the wait lists
@@ -131,7 +139,7 @@ class InstQueue
     }
 
     /** Record this cycle's occupancy (called once per cycle). */
-    void sampleOccupancy() { occupancy.sample(list.size()); }
+    void sampleOccupancy() { occupancy.sample(count); }
 
     /** Register the "iq" stat group into the core's stats tree. */
     void regStats(stats::StatRegistry &r) { r.add(&group); }
@@ -168,8 +176,9 @@ class InstQueue
     }
 
     std::size_t cap;
-    InstHotPool &hot;
-    std::vector<DynInst *> list;  ///< sorted by seq, oldest first
+    Rob &rob;
+    const InstHotPool &hot;
+    std::size_t count = 0;  ///< members (entries with the inIq flag)
     /** Wait lists per register class, indexed by tag (grown on use). */
     std::vector<std::vector<Waiter>> waitLists[kNumRegClasses];
     /** Instructions published since the last drain (event-driven

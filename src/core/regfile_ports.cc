@@ -14,7 +14,7 @@ PortSchedule::slotFor(Cycle cycle)
     // window, so enforce the contract here.
     VPR_ASSERT(cycle >= base, "port claim at ", cycle,
                " behind prune watermark ", base);
-    std::size_t s = cycle % counts.size();
+    std::size_t s = slotOf(cycle);
     if (tags[s] == cycle)
         return counts[s];
     if (tags[s] != kNoCycle && tags[s] >= base) {
@@ -22,7 +22,7 @@ PortSchedule::slotFor(Cycle cycle)
         // lapped by the claim span. Grow until the whole live window
         // fits, giving every live cycle a distinct slot.
         grow(cycle);
-        s = cycle % counts.size();
+        s = slotOf(cycle);
     }
     // Free, lapped-stale, or pruned slot: take it over for this cycle.
     tags[s] = cycle;
@@ -44,12 +44,14 @@ PortSchedule::grow(Cycle needed)
     std::size_t size = counts.size();
     while (size <= maxLive - base)
         size *= 2;
+    VPR_ASSERT(isPowerOf2(size), "port ring size ", size,
+               " is not a power of two");
     std::vector<unsigned> newCounts(size, 0);
     std::vector<Cycle> newTags(size, kNoCycle);
     for (std::size_t i = 0; i < tags.size(); ++i) {
         if (tags[i] == kNoCycle || tags[i] < base)
             continue;
-        const std::size_t s = tags[i] % size;
+        const std::size_t s = tags[i] & (size - 1);
         newTags[s] = tags[i];
         newCounts[s] = counts[i];
     }
@@ -60,7 +62,7 @@ PortSchedule::grow(Cycle needed)
 unsigned
 PortSchedule::used(Cycle cycle) const
 {
-    const std::size_t s = cycle % counts.size();
+    const std::size_t s = slotOf(cycle);
     return tags[s] == cycle && cycle >= base ? counts[s] : 0;
 }
 

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/intmath.hh"
 #include "common/types.hh"
 #include "isa/reg.hh"
 
@@ -25,9 +26,11 @@ namespace vpr
 /**
  * Per-cycle counting arbiter used for write and cache ports.
  *
- * Claims live in a cycle-tagged ring: slot cycle % capacity holds the
- * count for that cycle, with the owning cycle stored alongside so a
- * slot left over from a lapped (long-past) cycle reads as free. The
+ * Claims live in a cycle-tagged ring: slot cycle & (capacity - 1)
+ * holds the count for that cycle (the capacity starts at a power of
+ * two and only ever doubles, so the mask is the modulo), with the
+ * owning cycle stored alongside so a slot left over from a lapped
+ * (long-past) cycle reads as free. The
  * arbiter allocates only when the claim horizon outgrows the ring —
  * the steady-state claim/prune cycle of the pipeline loop touches no
  * allocator at all, where the previous std::map spent one node per
@@ -77,12 +80,20 @@ class PortSchedule
     /** A write scheduled past the miss penalty is rare; 1024 slots
      *  cover any realistic claim horizon without ever growing. */
     static constexpr std::size_t kInitialSlots = 1024;
+    static_assert(isPowerOf2(kInitialSlots),
+                  "the slot mask needs a power-of-two ring");
 
     unsigned &slotFor(Cycle cycle);
     void grow(Cycle needed);
 
+    std::size_t
+    slotOf(Cycle cycle) const
+    {
+        return cycle & (counts.size() - 1);
+    }
+
     unsigned ports;
-    /** Claims at cycle c live in slot c % capacity... @{ */
+    /** Claims at cycle c live in slot slotOf(c)... @{ */
     std::vector<unsigned> counts;
     /** ...owned by cycle tags[slot]; kNoCycle or a pruned tag = free. */
     std::vector<Cycle> tags;

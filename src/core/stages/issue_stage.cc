@@ -33,6 +33,10 @@ IssueStage::IssueStage(PipelineState &state,
 {
     group.add(&issued);
     group.add(&byClass);
+    // Sized for a window full of register waits: the steady state
+    // never grows them.
+    for (auto &q : regWaitQ)
+        q.reserve(s.cfg.robSize);
     fetchToIssue.reserve(kNumOpClasses);
     for (std::size_t i = 0; i < kNumOpClasses; ++i) {
         // Queueing delay dominates (an instruction can sit behind a
@@ -112,7 +116,7 @@ IssueStage::tryIssueOne(DynInst *inst)
 
     // The renamer's issue gate (VP issue-allocation policy).
     if (!s.renameMgr->tryIssue(*inst, now))
-        return {Outcome::Resource};
+        return {Outcome::RegWait};
 
     // All checks passed: commit the side effects.
     s.regPorts.tryClaimReads(nIntReads, nFpReads);
@@ -191,31 +195,51 @@ IssueStage::tryIssueOne(DynInst *inst)
 void
 IssueStage::scanTick()
 {
-    // Reference path: oldest-first selection directly over the
-    // age-ordered list — no per-cycle snapshot copy. Issue is the only
-    // mutation during the scan (nothing is inserted or squashed from
-    // inside tryIssueOne), so removing the issued entry and keeping the
-    // index in place walks every remaining entry exactly once. Two
-    // passes: first executions have priority; re-executions fill the
-    // remaining slots ("resources that otherwise would be unused",
-    // paper §4.2.1).
+    // Reference path: oldest-first selection over every IQ member — a
+    // walk of the age-ordered ROB that skips entries without the inIq
+    // flag. Issue only clears the flag (nothing is inserted, squashed
+    // or moved in the ROB from inside tryIssueOne), so the walk visits
+    // every remaining member exactly once. Two passes: first executions
+    // have priority; re-executions fill the remaining slots ("resources
+    // that otherwise would be unused", paper §4.2.1).
     unsigned nIssued = 0;
     for (int pass = 0; pass < 2 && nIssued < s.cfg.issueWidth; ++pass) {
-        std::size_t i = 0;
-        while (i < s.iq.size() && nIssued < s.cfg.issueWidth) {
-            DynInst *inst = s.iq.at(i);
-            if ((inst->executions > 0) != (pass == 1) ||
-                inst->phase() != InstPhase::Renamed) {
-                ++i;
+        for (std::size_t i = 0;
+             i < s.rob.size() && nIssued < s.cfg.issueWidth; ++i) {
+            if (!s.hot.isInIq(s.rob.slotAt(i)))
                 continue;
-            }
+            DynInst *inst = &s.rob.at(i);
+            if ((inst->executions > 0) != (pass == 1) ||
+                inst->phase() != InstPhase::Renamed)
+                continue;
             if (tryIssueOne(inst).outcome == Outcome::Issued) {
-                s.iq.removeAt(i);
+                s.iq.remove(inst);
                 ++nIssued;
-            } else {
-                ++i;
             }
         }
+    }
+}
+
+void
+IssueStage::mergeRegisterWaits()
+{
+    for (std::size_t c = 0; c < kNumRegClasses; ++c) {
+        auto &q = regWaitQ[c];
+        if (q.empty() ||
+            s.renameMgr->issueGateEpoch(static_cast<RegClass>(c)) ==
+                regWaitEpoch[c])
+            continue;
+        std::size_t keep = 0;
+        for (const ReadyRef &e : q) {
+            if (!s.hot.liveInPhase(e.slot, e.seq, InstPhase::Renamed) ||
+                !s.hot.isInIq(e.slot))
+                continue;  // stale: squashed, or slot reused
+            if (s.renameMgr->issueGateOpen(*e.inst))
+                cand.push_back(e);
+            else
+                q[keep++] = e;
+        }
+        q.resize(keep);
     }
 }
 
@@ -233,7 +257,8 @@ IssueStage::tick()
     // instructions, last cycle's per-cycle-resource failures, FU-stall
     // lists whose unit class has capacity again (availability only
     // shrinks within a tick, so a class gated here would fail every
-    // scan attempt this cycle too), and released LSQ holds.
+    // scan attempt this cycle too), register waits whose gate opened,
+    // and released LSQ holds.
     cand.clear();
     s.iq.drainReadyEvents(cand);
     cand.insert(cand.end(), retryQ.begin(), retryQ.end());
@@ -246,6 +271,7 @@ IssueStage::tick()
         cand.insert(cand.end(), q.begin(), q.end());
         q.clear();
     }
+    mergeRegisterWaits();
     s.lsq.takeReadyHolds(now, cand);
     std::sort(cand.begin(), cand.end(),
               [](const ReadyRef &a, const ReadyRef &b) {
@@ -288,6 +314,10 @@ IssueStage::tick()
                              fuTypeFor(inst->si.op))]
                     .push_back(inst->ref());
                 break;
+              case Outcome::RegWait:
+                regWaitQ[classIdx(inst->destClass())].push_back(
+                    inst->ref());
+                break;
               case Outcome::Resource:
                 retryQ.push_back(inst->ref());
                 break;
@@ -298,6 +328,11 @@ IssueStage::tick()
         if (e.inst && s.hot.live(e.slot, e.seq) && s.hot.isInIq(e.slot))
             retryQ.push_back(e);
     }
+    // Every entry parked on a register wait fails the gate as the tick
+    // leaves it; only an epoch move can change that.
+    for (std::size_t c = 0; c < kNumRegClasses; ++c)
+        regWaitEpoch[c] =
+            s.renameMgr->issueGateEpoch(static_cast<RegClass>(c));
 }
 
 } // namespace vpr

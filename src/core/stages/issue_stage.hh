@@ -8,7 +8,8 @@
  *
  * Selection is event-driven: the stage merges the IQ's newly published
  * ready instructions with its own parked entries (per-FU stall lists
- * gated on unit availability, a retry list for the per-cycle resources,
+ * gated on unit availability, per-class register-wait lists gated on
+ * the renamer's issue gate, a retry list for the per-cycle resources,
  * and the LSQ's released hold subscriptions), sorts the merged
  * candidates by age and attempts them oldest first — the whole
  * instruction queue is never walked. Entries that fail a structural
@@ -16,6 +17,15 @@
  * until the blocking store resolves. The legacy full-queue scan
  * survives behind CoreConfig::iqScanIssue (core.iq.scan_issue) and is
  * byte-identical, as the determinism test asserts.
+ *
+ * Parking is exact because a failed attempt has no side effects: an
+ * entry left out of a cycle's candidates is one the scan would have
+ * attempted and failed. A register-wait entry is re-tested only when
+ * RenameManager::issueGateEpoch says its class's gate inputs moved,
+ * and merged only if RenameManager::issueGateOpen passes; within one
+ * issue tick the gate can only close (each allocation takes a free
+ * register), so an entry that fails the test at the merge would fail
+ * its attempt too.
  */
 
 #ifndef VPR_CORE_STAGES_ISSUE_STAGE_HH
@@ -59,6 +69,8 @@ class IssueStage : public Stage
         retryQ.clear();
         for (auto &q : fuStallQ)
             q.clear();
+        for (auto &q : regWaitQ)
+            q.clear();
     }
 
   private:
@@ -68,7 +80,8 @@ class IssueStage : public Stage
         Issued,    ///< side effects committed, instruction left the IQ
         Hold,      ///< LSQ disambiguation hold (blocker identifies why)
         NoFu,      ///< all functional units of the class busy
-        Resource,  ///< per-cycle resource (ports, renamer gate, cache)
+        RegWait,   ///< the renamer's issue gate denied a register
+        Resource,  ///< per-cycle resource (read ports, cache)
     };
 
     /** One attempt's verdict, with the LSQ blocker for holds. */
@@ -86,6 +99,10 @@ class IssueStage : public Stage
     /** The legacy full-queue oldest-first walk (reference path). */
     void scanTick();
 
+    /** Append the register-wait entries of every class whose gate
+     *  inputs moved since the last tick and whose gate now passes. */
+    void mergeRegisterWaits();
+
     PipelineState &s;
     CompletionQueue &completions;
     bool scanIssue;
@@ -100,6 +117,12 @@ class IssueStage : public Stage
      *  cycle a unit is available again (until then every scan attempt
      *  would fail the same availability check). */
     std::array<std::vector<ReadyRef>, kNumFUTypes> fuStallQ;
+    /** Ready entries the renamer's issue gate denied, per destination
+     *  class (VP issue allocation). Until the class's gate epoch moves
+     *  every scan attempt would fail the same gate. */
+    std::array<std::vector<ReadyRef>, kNumRegClasses> regWaitQ;
+    /** Each class's gate epoch at the end of the last tick. */
+    std::array<std::uint64_t, kNumRegClasses> regWaitEpoch{};
 
     stats::StatGroup group{"issue"};
     stats::Scalar issued{"issued", "instructions issued"};

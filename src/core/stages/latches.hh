@@ -79,6 +79,12 @@ class CompletionQueue
           horizon(Cycle{1} << ceilLog2(horizonHint < 2 ? 2 : horizonHint)),
           buckets(useCalendar ? static_cast<std::size_t>(horizon) : 0)
     {
+        // A cycle's completions are bounded by the issue width plus
+        // write-port slips; sizing every bucket up front keeps the
+        // steady state off the allocator even for buckets whose peak
+        // arrives late in a run.
+        for (auto &b : buckets)
+            b.reserve(kBucketReserve);
     }
 
     /** Schedule @p inst to complete at @p when. */
@@ -221,6 +227,9 @@ class CompletionQueue
     }
 
   private:
+    /** Initial capacity of each calendar bucket. */
+    static constexpr std::size_t kBucketReserve = 16;
+
     using EventHeap =
         std::priority_queue<CompletionEvent, std::vector<CompletionEvent>,
                             std::greater<CompletionEvent>>;

@@ -12,7 +12,7 @@ PipelineState::PipelineState(TraceStream &stream, const CoreConfig &config)
       fetch(stream, config.fetch),
       hot(config.robSize),
       rob(config.robSize, hot),
-      iq(config.iqSize, hot),
+      iq(config.iqSize, rob),
       lsq(config.lsqSize),
       cache(config.cache),
       fus(config.fu),
@@ -81,9 +81,10 @@ PipelineState::resetStats()
 void
 PipelineState::reinit()
 {
+    // The IQ drops its membership flags by walking the ROB: first.
+    iq.clear();
     hot.resetAll();
     rob.clear();
-    iq.clear();
     lsq.clear();
     cache.reset();
     fus.clear();
@@ -103,10 +104,11 @@ PipelineState::reinit()
 void
 PipelineState::squashYoungerThan(InstSeqNum youngestKept)
 {
-    iq.squashYoungerThan(youngestKept);
     lsq.squashYoungerThan(youngestKept);
     while (!rob.empty() && rob.tail().seq() > youngestKept) {
         DynInst &tail = rob.tail();
+        if (tail.inIq())
+            iq.remove(&tail);
         renameMgr->squashInst(tail, curCycle);
         tail.setPhase(InstPhase::Squashed);
         ++squashedStat;

@@ -50,9 +50,10 @@ struct PipelineState
     void reinit();
 
     /**
-     * Branch recovery over the shared structures: drop IQ/LSQ entries
-     * and walk the ROB youngest-first down to @p youngestKept, undoing
-     * each rename (the paper's recovery walk).
+     * Branch recovery over the shared structures: drop LSQ entries and
+     * walk the ROB youngest-first down to @p youngestKept, dropping
+     * each instruction's IQ membership and undoing its rename (the
+     * paper's recovery walk).
      */
     void squashYoungerThan(InstSeqNum youngestKept);
 

@@ -32,6 +32,7 @@ NonBlockingCache::NonBlockingCache(const CacheConfig &config)
     numSets = cfg.sizeBytes / (cfg.lineSize * cfg.assoc);
     VPR_ASSERT(isPowerOf2(numSets), "number of sets must be a power of 2");
     lineMask = cfg.lineSize - 1;
+    lineShift = floorLog2(cfg.lineSize);
     lines.assign(numSets * cfg.assoc, Line{});
 
     group.add(&accessesStat);
@@ -42,7 +43,7 @@ NonBlockingCache::NonBlockingCache(const CacheConfig &config)
 std::size_t
 NonBlockingCache::setIndex(Addr line) const
 {
-    return (line / cfg.lineSize) & (numSets - 1);
+    return (line >> lineShift) & (numSets - 1);
 }
 
 int

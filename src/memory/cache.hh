@@ -151,6 +151,8 @@ class NonBlockingCache
     CacheConfig cfg;
     std::size_t numSets;
     std::uint64_t lineMask;
+    /** log2(lineSize): the set index shifts instead of dividing. */
+    unsigned lineShift;
     std::vector<Line> lines;  ///< numSets * assoc, way-major within set
     MshrFile mshrFile;
     Bus theBus;

@@ -35,6 +35,7 @@ class ConventionalRename : public RenameManager
     bool canRename(unsigned nIntDests, unsigned nFpDests) const override;
     void renameInst(DynInst &inst, Cycle now) override;
     bool tryIssue(DynInst &inst, Cycle now) override;
+    bool issueGateOpen(const DynInst &) const override { return true; }
     CompleteResult complete(DynInst &inst, Cycle now) override;
     void commitInst(DynInst &inst, Cycle now) override;
     void squashInst(DynInst &inst, Cycle now) override;

@@ -17,6 +17,14 @@ EarlyReleaseRename::EarlyReleaseRename(const RenameConfig &config)
         for (std::uint16_t i = 0; i < kNumLogicalRegs; ++i)
             state[c][i].written = true;
     }
+    owedFrees.reserve(kNumRegClasses * cfg.numPhysRegs);
+}
+
+bool
+EarlyReleaseRename::owes(InstSeqNum seq) const
+{
+    return std::find(owedFrees.begin(), owedFrees.end(), seq) !=
+           owedFrees.end();
 }
 
 void
@@ -39,7 +47,8 @@ EarlyReleaseRename::maybeRelease(RegClass cls, PhysRegId reg, Cycle now)
     if (st.written && st.superseded && st.pendingReaders == 0 &&
         !st.earlyFreed) {
         st.earlyFreed = true;
-        owedFrees.insert(st.supersederSeq);
+        // One destination supersedes one register: never a duplicate.
+        owedFrees.push_back(st.supersederSeq);
         ++nEarlyReleases;
         freeReg(cls, reg, now);
     }
@@ -102,9 +111,12 @@ EarlyReleaseRename::commitInst(DynInst &inst, Cycle now)
 {
     if (!inst.hasDest())
         return;
-    if (owedFrees.erase(inst.seq())) {
+    auto owed = std::find(owedFrees.begin(), owedFrees.end(), inst.seq());
+    if (owed != owedFrees.end()) {
         // The previous mapping was already released by the counter
         // mechanism (and may even have been reallocated since).
+        *owed = owedFrees.back();
+        owedFrees.pop_back();
         return;
     }
     ConventionalRename::commitInst(inst, now);
@@ -128,7 +140,7 @@ EarlyReleaseRename::squashInst(DynInst &inst, Cycle now)
         RegClass cls = inst.destClass();
         PhysRegId prev = static_cast<PhysRegId>(inst.prevTag);
         RegState &st = state[classIdx(cls)][prev];
-        VPR_ASSERT(owedFrees.count(inst.seq()) == 0,
+        VPR_ASSERT(!owes(inst.seq()),
                    "early release is incompatible with squashing a "
                    "superseder; run with WrongPathMode::Stall "
                    "(see early_release.hh)");
@@ -175,13 +187,12 @@ EarlyReleaseRename::visitState(StateVisitor &v)
         }
     }
     // The set is empty at a drained point; serialize it sorted anyway so
-    // the encoding is canonical and independent of hashing order.
+    // the encoding is canonical and independent of insertion order.
     std::vector<InstSeqNum> owed(owedFrees.begin(), owedFrees.end());
     std::sort(owed.begin(), owed.end());
     v.dynVec(owed);
     if (v.loading())
-        owedFrees = std::unordered_set<InstSeqNum>(owed.begin(),
-                                                   owed.end());
+        owedFrees.assign(owed.begin(), owed.end());
     v.value(nEarlyReleases);
 }
 

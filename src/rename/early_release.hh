@@ -28,7 +28,7 @@
 #ifndef VPR_RENAME_EARLY_RELEASE_HH
 #define VPR_RENAME_EARLY_RELEASE_HH
 
-#include <unordered_set>
+#include <vector>
 
 #include "rename/conventional.hh"
 
@@ -80,10 +80,17 @@ class EarlyReleaseRename : public ConventionalRename
     void maybeRelease(RegClass cls, PhysRegId reg, Cycle now);
 
     std::vector<RegState> state[kNumRegClasses];
+    /** Does owedFrees hold @p seq? */
+    bool owes(InstSeqNum seq) const;
+
     /** Superseders whose previous mapping was already released; their
      *  commit must not free it again (the register may have been
-     *  reallocated by then, so this cannot live in RegState). */
-    std::unordered_set<InstSeqNum> owedFrees;
+     *  reallocated by then, so this cannot live in RegState). An
+     *  unordered flat set: it holds a handful of in-flight sequence
+     *  numbers, and a vector that keeps its capacity never touches
+     *  the allocator once warm (a node-based set allocates per
+     *  insert). */
+    std::vector<InstSeqNum> owedFrees;
     std::uint64_t nEarlyReleases = 0;
 };
 

@@ -118,6 +118,28 @@ class RenameManager
     virtual bool tryIssue(DynInst &inst, Cycle now) = 0;
 
     /**
+     * Would tryIssue(@p inst) accept right now? The same test, without
+     * its side effects: nothing is allocated and no rejection counted.
+     * The issue stage uses it to decide when an instruction the gate
+     * denied is worth attempting again.
+     */
+    virtual bool issueGateOpen(const DynInst &inst) const = 0;
+
+    /**
+     * A counter that moves whenever anything issueGateOpen() reads for
+     * class @p cls may have changed: the free physical registers or the
+     * NRR reserved window. While it stands still, every instruction
+     * the gate denied stays denied. A rename does not move it: the new
+     * instruction is the youngest and unallocated, so the reserved
+     * status of every older one and the Used count are unchanged.
+     */
+    std::uint64_t
+    issueGateEpoch(RegClass cls) const
+    {
+        return gateEpoch[classIdx(cls)];
+    }
+
+    /**
      * Called when @p inst finishes execution. Updates map state and, for
      * VP write-back allocation, tries to allocate the physical register;
      * on failure returns ok=false and the core must re-queue the
@@ -221,10 +243,15 @@ class RenameManager
     void
     reinitBase()
     {
-        for (std::size_t c = 0; c < kNumRegClasses; ++c)
+        for (std::size_t c = 0; c < kNumRegClasses; ++c) {
             pressureTrk[c].clear();
+            gateEpoch[c] = 0;
+        }
         nRejections = 0;
     }
+
+    /** Note a change to what issueGateOpen() reads for class @p c. */
+    void bumpGateEpoch(std::size_t c) { ++gateEpoch[c]; }
 
     RenameConfig cfg;
     /** Lifetime distributions are declared before the trackers that
@@ -235,6 +262,8 @@ class RenameManager
     std::uint64_t nRejections = 0;
 
   private:
+    std::uint64_t gateEpoch[kNumRegClasses] = {0, 0};
+
     stats::StatGroup renameGroup{"rename"};
     stats::StatGroup vpGroup{"rename.vp"};
     stats::StatGroup regfileGroup{"regfile"};

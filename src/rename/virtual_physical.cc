@@ -71,6 +71,9 @@ VirtualPhysicalRename::tick(Cycle now)
     // one-cycle commit delay for the PMT lookup).
     if (now > pendingFreeCycle) {
         for (std::size_t c = 0; c < kNumRegClasses; ++c) {
+            if (pendingFrees[c].empty())
+                continue;
+            bumpGateEpoch(c);
             for (PhysRegId r : pendingFrees[c]) {
                 physFreeList[c].push_back(r);
                 pressureTrk[c].onFree(r, now);
@@ -146,6 +149,7 @@ VirtualPhysicalRename::allocPhys(RegClass cls, InstSeqNum seq, Cycle now)
     fl.pop_back();
     pressureTrk[c].onAlloc(reg, now);
     tracker[c].onAllocate(seq);
+    bumpGateEpoch(c);
     return reg;
 }
 
@@ -160,6 +164,16 @@ VirtualPhysicalRename::freePhysNow(RegClass cls, PhysRegId reg, Cycle now)
 {
     physFreeList[classIdx(cls)].push_back(reg);
     pressureTrk[classIdx(cls)].onFree(reg, now);
+    bumpGateEpoch(classIdx(cls));
+}
+
+bool
+VirtualPhysicalRename::issueGateOpen(const DynInst &inst) const
+{
+    if (!allocAtIssue || !inst.hasDest())
+        return true;
+    const std::size_t c = classIdx(inst.destClass());
+    return tracker[c].mayAllocate(inst.seq(), physFreeList[c].size());
 }
 
 bool
@@ -168,14 +182,11 @@ VirtualPhysicalRename::tryIssue(DynInst &inst, Cycle now)
     if (!allocAtIssue || !inst.hasDest())
         return true;
     VPR_ASSERT(inst.physReg == kNoReg, "issue-alloc: already has a reg");
-
-    RegClass cls = inst.destClass();
-    std::size_t c = classIdx(cls);
-    if (!tracker[c].mayAllocate(inst.seq(), physFreeList[c].size())) {
+    if (!issueGateOpen(inst)) {
         ++nIssueRejections;
         return false;
     }
-    inst.physReg = allocPhys(cls, inst.seq(), now);
+    inst.physReg = allocPhys(inst.destClass(), inst.seq(), now);
     return true;
 }
 
@@ -224,6 +235,7 @@ VirtualPhysicalRename::commitInst(DynInst &inst, Cycle now)
     RegClass cls = inst.destClass();
     std::size_t c = classIdx(cls);
     tracker[c].onCommit(inst.seq());
+    bumpGateEpoch(c);
 
     // Free the VP register of the previous instruction with the same
     // logical destination, and the physical register found through the
@@ -253,6 +265,7 @@ VirtualPhysicalRename::squashInst(DynInst &inst, Cycle now)
     std::size_t c = classIdx(cls);
     std::uint16_t logical = inst.si.dest.index();
     tracker[c].onSquash(inst.seq());
+    bumpGateEpoch(c);
 
     VPR_ASSERT(gmt[c][logical].vp == inst.vpReg,
                "squash: GMT does not point at squashed inst");

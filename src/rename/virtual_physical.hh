@@ -57,6 +57,7 @@ class VirtualPhysicalRename : public RenameManager
     bool canRename(unsigned nIntDests, unsigned nFpDests) const override;
     void renameInst(DynInst &inst, Cycle now) override;
     bool tryIssue(DynInst &inst, Cycle now) override;
+    bool issueGateOpen(const DynInst &inst) const override;
     CompleteResult complete(DynInst &inst, Cycle now) override;
     void commitInst(DynInst &inst, Cycle now) override;
     void squashInst(DynInst &inst, Cycle now) override;
@@ -106,7 +107,10 @@ class VirtualPhysicalRename : public RenameManager
         return tracker[classIdx(cls)];
     }
 
-    /** Denied issue attempts under the issue-allocation policy. */
+    /** Denied tryIssue() calls under the issue-allocation policy. The
+     *  issue stage parks a denied instruction until the gate can have
+     *  opened, so this counts attempts made, not cycles spent waiting;
+     *  it is not exported. */
     std::uint64_t issueRejections() const { return nIssueRejections; }
 
   private:

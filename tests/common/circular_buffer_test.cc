@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "common/circular_buffer.hh"
 
 namespace vpr
@@ -113,6 +115,47 @@ TEST(CircularBuffer, ClearResets)
     EXPECT_TRUE(b.empty());
     b.pushBack(9);
     EXPECT_EQ(b.front(), 9);
+}
+
+TEST(CircularBuffer, CompareAndSubtractWrapMatchesModuloModel)
+{
+    // The wrap is a compare-and-subtract, not a modulo: check it at
+    // non-power-of-two capacities (and a few powers of two) over many
+    // laps of mixed push/pop traffic, against a deque holding the
+    // expected contents and a model head advanced with %.
+    for (std::size_t cap : {1u, 2u, 3u, 5u, 7u, 8u, 12u, 64u, 100u, 127u,
+                            128u, 129u}) {
+        CircularBuffer<std::uint64_t> b(cap);
+        std::deque<std::uint64_t> model;
+        std::size_t modelHead = 0;
+        std::uint64_t rng = 0x2545f4914f6cdd1dull + cap;
+        std::uint64_t next = 0;
+        for (int step = 0; step < 20000; ++step) {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            const unsigned op = rng % 8;
+            if (op < 4 && !b.full()) {
+                b.pushBack(next);
+                model.push_back(next++);
+            } else if (op < 7 && !b.empty()) {
+                b.popFront();
+                model.pop_front();
+                modelHead = (modelHead + 1) % cap;
+            } else if (!b.empty()) {
+                b.popBack();
+                model.pop_back();
+            }
+            ASSERT_EQ(b.size(), model.size()) << "cap " << cap;
+            for (std::size_t i = 0; i < model.size(); ++i) {
+                ASSERT_EQ(b.at(i), model[i]) << "cap " << cap;
+                ASSERT_EQ(b.physIndexOf(i), (modelHead + i) % cap)
+                    << "cap " << cap;
+            }
+        }
+        // Every capacity went round its ring many times.
+        EXPECT_GT(next, 20 * cap) << "cap " << cap;
+    }
 }
 
 TEST(CircularBufferDeath, OverflowPanics)

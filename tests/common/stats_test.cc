@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/stats.hh"
@@ -279,6 +280,68 @@ TEST(Distribution, EvenBucketsFixesTheBucketCount)
             total += d.bucketCount(i);
         EXPECT_EQ(total, 1u) << "max=" << max;
     }
+}
+
+TEST(Distribution, BucketIndexIsExactForEveryEvenBucketsWidth)
+{
+    // Sampling finds the bucket without dividing; it must agree with
+    // (v - lo) / bucket_size for every width evenBuckets produces over
+    // ranges up to 4096: width 1, the powers of two (shift) and every
+    // other width (reciprocal), each at a zero and a non-zero origin.
+    constexpr std::uint64_t kRange = 4096;
+    for (std::uint64_t lo : {0ull, 1000003ull}) {
+        for (std::size_t n = 1; n <= kRange; ++n) {
+            Distribution d = Distribution::evenBuckets(
+                "d", "x", lo, lo + kRange - 1, n);
+            const std::uint64_t width = (kRange + n - 1) / n;
+            for (std::uint64_t off = 0; off < kRange; ++off) {
+                if (d.bucketIndex(lo + off) != off / width) {
+                    FAIL() << "lo=" << lo << " buckets=" << n
+                           << " off=" << off << ": "
+                           << d.bucketIndex(lo + off) << " != "
+                           << off / width;
+                }
+            }
+        }
+    }
+    // Every width 1..4096 over the full range (evenBuckets reaches only
+    // the ceil(4096 / n) widths above), through sample() itself.
+    for (std::uint64_t width = 1; width <= kRange; ++width) {
+        Distribution d("d", "x", 0, kRange - 1, width);
+        for (std::uint64_t v = 0; v < kRange; ++v) {
+            if (d.bucketIndex(v) != v / width) {
+                FAIL() << "width=" << width << " v=" << v;
+            }
+            d.sample(v);
+        }
+        for (std::size_t i = 0; i < d.numBuckets(); ++i) {
+            const std::uint64_t first = i * width;
+            const std::uint64_t last =
+                std::min(first + width, kRange);  // one past
+            ASSERT_EQ(d.bucketCount(i), last - first)
+                << "width=" << width << " bucket=" << i;
+        }
+    }
+}
+
+TEST(Distribution, BucketIndexFallsBackToDivisionForWideRanges)
+{
+    // A range wider than 32 bits with a non-power-of-two width is past
+    // the reciprocal's exactness bound: the index must still be exact,
+    // right up to the top of the 64-bit space.
+    const std::uint64_t top = ~0ull;
+    const std::uint64_t lo = top - (1ull << 40);
+    Distribution d = Distribution::evenBuckets("d", "x", lo, top, 7);
+    const std::uint64_t width = ((1ull << 40) + 1 + 6) / 7;
+    ASSERT_NE(width & (width - 1), 0u) << "want a non-power-of-two width";
+    for (std::uint64_t off : std::initializer_list<std::uint64_t>{
+             0, 1, width - 1, width, 3 * width + 5, (1ull << 40) - 1,
+             1ull << 40}) {
+        EXPECT_EQ(d.bucketIndex(lo + off), off / width) << "off=" << off;
+    }
+    d.sample(top);
+    EXPECT_EQ(d.bucketCount(6), 1u);
+    EXPECT_EQ(d.overflows(), 0u);
 }
 
 TEST(Counter2D, CountsAndTotals)

@@ -59,21 +59,45 @@ TEST(HotLoopAlloc, ZeroAllocationsPerMeasuredInterval)
 
 TEST(HotLoopAlloc, ZeroAllocationsPerSimulatedCycle)
 {
-    SimConfig config = paperConfig();
-    config.core.fetch.wrongPath = WrongPathMode::Stall;
-    auto stream = makeBenchmarkStream("swim");
-    Core core(*stream, config.core);
+    // Every rename scheme, plus issue allocation at NRR = 1, where
+    // most ready instructions sit on the issue stage's register-wait
+    // lists: those lists must reach their working size during warm-up
+    // like every other ring.
+    struct Case
+    {
+        RenameScheme scheme;
+        int nrr;  ///< -1 = the paper configuration's NRR
+    };
+    const Case cases[] = {
+        {RenameScheme::Conventional, -1},
+        {RenameScheme::ConventionalEarlyRelease, -1},
+        {RenameScheme::VPAllocAtWriteback, -1},
+        {RenameScheme::VPAllocAtIssue, -1},
+        {RenameScheme::VPAllocAtIssue, 1},
+    };
+    for (const Case &k : cases) {
+        SimConfig config = paperConfig();
+        config.core.fetch.wrongPath = WrongPathMode::Stall;
+        config.setScheme(k.scheme);
+        if (k.nrr > 0)
+            config.setNrr(static_cast<std::uint16_t>(k.nrr));
+        const std::string label = std::string(renameSchemeName(k.scheme)) +
+            (k.nrr > 0 ? " nrr=" + std::to_string(k.nrr) : "");
+        auto stream = makeBenchmarkStream("swim");
+        Core core(*stream, config.core);
 
-    core.runUntilCommitted(kWarmupInsts);
+        core.runUntilCommitted(kWarmupInsts);
 
-    // Per-cycle, not per-interval: every single tick must stay off the
-    // heap, so one allocating cycle cannot hide among thousands.
-    for (int cycle = 0; cycle < 5000; ++cycle) {
-        AllocGuard g;
-        core.tick();
-        ASSERT_EQ(g.count(), 0u)
-            << "allocation during steady-state cycle " << cycle
-            << " (cycle " << core.cycle() << " of the run)";
+        // Per-cycle, not per-interval: every single tick must stay off
+        // the heap, so one allocating cycle cannot hide among
+        // thousands.
+        for (int cycle = 0; cycle < 5000; ++cycle) {
+            AllocGuard g;
+            core.tick();
+            ASSERT_EQ(g.count(), 0u)
+                << label << ": allocation during steady-state cycle "
+                << cycle << " (cycle " << core.cycle() << " of the run)";
+        }
     }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -12,173 +14,225 @@ namespace vpr
 namespace
 {
 
-/** An IQ with its backing hot-state pool. Tests bind instructions to
- *  fresh pool slots through adopt() (the ROB does this in production). */
+/** An IQ over its own ROB (production wiring: PipelineState). Tests
+ *  allocate instructions as ROB entries, with ascending sequence
+ *  numbers as rename assigns them. */
 struct IqFixture
 {
-    explicit IqFixture(std::size_t cap, std::size_t slots = 2048)
-        : hot(slots), iq(cap, hot)
+    explicit IqFixture(std::size_t cap, std::size_t robSize = 256)
+        : hot(robSize), rob(robSize, hot), iq(cap, rob)
     {
     }
 
-    /** Bind @p d to a fresh (reset) hot slot and stamp @p seq. */
-    void
-    adopt(DynInst &d, InstSeqNum seq)
-    {
-        adoptAt(d, next++, seq);
-    }
-
-    /** Bind @p d to a specific slot — slot-reuse tests. */
-    void
-    adoptAt(DynInst &d, HotIdx sl, InstSeqNum seq)
-    {
-        hot.reset(sl);
-        d.bindHot(&hot, sl);
-        d.setSeq(seq);
-    }
-
-    DynInst
+    /** Allocate the next ROB entry as an ALU op with sequence @p seq. */
+    DynInst *
     alu(InstSeqNum seq)
     {
-        DynInst d;
-        d.si = StaticInst::alu(RegId::intReg(1), RegId::intReg(2),
-                               RegId::intReg(3));
-        adopt(d, seq);
+        DynInst *d = rob.allocate();
+        d->si = StaticInst::alu(RegId::intReg(1), RegId::intReg(2),
+                                RegId::intReg(3));
+        d->setSeq(seq);
         return d;
     }
 
-    DynInst
+    /** An ALU op whose first source waits on (@p cls, @p tag). */
+    DynInst *
     waiter(InstSeqNum seq, RegClass cls, std::uint16_t tag)
     {
-        DynInst d = alu(seq);
-        d.src[0].valid = true;
-        d.src[0].cls = cls;
-        d.src[0].tag = tag;
+        DynInst *d = alu(seq);
+        d->src[0].valid = true;
+        d->src[0].cls = cls;
+        d->src[0].tag = tag;
         return d;
+    }
+
+    /** The IQ members, oldest first. */
+    std::vector<DynInst *>
+    members()
+    {
+        std::vector<DynInst *> out;
+        iq.forEachEntry([&out](DynInst *d) { out.push_back(d); });
+        return out;
+    }
+
+    /** Branch recovery as PipelineState::squashYoungerThan does it:
+     *  pop the ROB tail down to @p keep, dropping IQ membership. */
+    void
+    squashYoungerThan(InstSeqNum keep)
+    {
+        while (!rob.empty() && rob.tail().seq() > keep) {
+            if (rob.tail().inIq())
+                iq.remove(&rob.tail());
+            rob.squashTail();
+        }
+    }
+
+    /** Retire ROB heads that already left the IQ (long random runs
+     *  would otherwise fill the ROB). */
+    void
+    retire()
+    {
+        while (!rob.empty() && !rob.head().inIq())
+            rob.commitHead();
     }
 
     InstHotPool hot;
+    Rob rob;
     InstQueue iq;
-    HotIdx next = 0;
 };
+
+std::vector<InstSeqNum>
+seqsOf(const std::vector<DynInst *> &insts)
+{
+    std::vector<InstSeqNum> out;
+    for (const DynInst *d : insts)
+        out.push_back(d->seq());
+    return out;
+}
 
 TEST(InstQueue, InsertKeepsAgeOrder)
 {
     IqFixture f(8);
-    DynInst a = f.alu(1), b = f.alu(2), c = f.alu(3);
-    f.iq.insert(&a);
-    f.iq.insert(&c);
+    DynInst *a = f.alu(1), *b = f.alu(2), *c = f.alu(3);
+    f.iq.insert(a);
+    f.iq.insert(c);
     // Re-insertion of an older instruction (write-back squash path).
-    f.iq.insert(&b);
+    f.iq.insert(b);
     ASSERT_EQ(f.iq.size(), 3u);
-    EXPECT_EQ(f.iq.entries()[0]->seq(), 1u);
-    EXPECT_EQ(f.iq.entries()[1]->seq(), 2u);
-    EXPECT_EQ(f.iq.entries()[2]->seq(), 3u);
+    EXPECT_EQ(seqsOf(f.members()),
+              (std::vector<InstSeqNum>{1, 2, 3}));
 }
 
 TEST(InstQueue, RemoveSpecificEntry)
 {
     IqFixture f(8);
-    DynInst a = f.alu(1), b = f.alu(2);
-    f.iq.insert(&a);
-    f.iq.insert(&b);
-    f.iq.remove(&a);
+    DynInst *a = f.alu(1), *b = f.alu(2);
+    f.iq.insert(a);
+    f.iq.insert(b);
+    f.iq.remove(a);
     ASSERT_EQ(f.iq.size(), 1u);
-    EXPECT_EQ(f.iq.entries()[0]->seq(), 2u);
+    EXPECT_FALSE(a->inIq());
+    EXPECT_EQ(seqsOf(f.members()), (std::vector<InstSeqNum>{2}));
+}
+
+TEST(InstQueue, NonMembersInTheRobAreSkipped)
+{
+    // The walk goes over the ROB: entries that issued (or were never
+    // queued) are there but are not members.
+    IqFixture f(8);
+    DynInst *a = f.alu(1);
+    f.alu(2);  // in the ROB, never inserted
+    DynInst *c = f.alu(3);
+    f.iq.insert(a);
+    f.iq.insert(c);
+    EXPECT_EQ(seqsOf(f.members()), (std::vector<InstSeqNum>{1, 3}));
+    f.iq.remove(a);
+    EXPECT_EQ(seqsOf(f.members()), (std::vector<InstSeqNum>{3}));
+}
+
+TEST(InstQueue, ClearDropsEveryMembership)
+{
+    IqFixture f(8);
+    DynInst *a = f.alu(1), *b = f.alu(2);
+    f.iq.insert(a);
+    f.iq.insert(b);
+    f.iq.clear();
+    EXPECT_TRUE(f.iq.empty());
+    EXPECT_FALSE(a->inIq());
+    EXPECT_FALSE(b->inIq());
+    EXPECT_TRUE(f.members().empty());
 }
 
 TEST(InstQueue, WakeupMatchesClassAndTag)
 {
     IqFixture f(8);
-    DynInst a = f.alu(1);
-    a.src[0].valid = true;
-    a.src[0].cls = RegClass::Int;
-    a.src[0].tag = 40;
-    a.src[1].valid = true;
-    a.src[1].cls = RegClass::Float;
-    a.src[1].tag = 40;  // same tag number, different class!
-    f.iq.insert(&a);
+    DynInst *a = f.alu(1);
+    a->src[0].valid = true;
+    a->src[0].cls = RegClass::Int;
+    a->src[0].tag = 40;
+    a->src[1].valid = true;
+    a->src[1].cls = RegClass::Float;
+    a->src[1].tag = 40;  // same tag number, different class!
+    f.iq.insert(a);
 
     EXPECT_EQ(f.iq.wakeup(RegClass::Int, 40, 7), 1u);
-    EXPECT_TRUE(a.src[0].ready);
-    EXPECT_EQ(a.src[0].tag, 7);      // captured the physical register
-    EXPECT_FALSE(a.src[1].ready);    // FP operand untouched
+    EXPECT_TRUE(a->src[0].ready);
+    EXPECT_EQ(a->src[0].tag, 7);      // captured the physical register
+    EXPECT_FALSE(a->src[1].ready);    // FP operand untouched
 }
 
 TEST(InstQueue, WakeupIgnoresAlreadyReady)
 {
     IqFixture f(8);
-    DynInst a = f.alu(1);
-    a.src[0].valid = true;
-    a.src[0].cls = RegClass::Int;
-    a.src[0].tag = 40;
-    a.src[0].ready = true;
-    f.iq.insert(&a);
+    DynInst *a = f.alu(1);
+    a->src[0].valid = true;
+    a->src[0].cls = RegClass::Int;
+    a->src[0].tag = 40;
+    a->src[0].ready = true;
+    f.iq.insert(a);
     EXPECT_EQ(f.iq.wakeup(RegClass::Int, 40, 9), 0u);
-    EXPECT_EQ(a.src[0].tag, 40);
+    EXPECT_EQ(a->src[0].tag, 40);
 }
 
 TEST(InstQueue, WakeupHitsAllWaiters)
 {
     IqFixture f(8);
-    DynInst a = f.alu(1), b = f.alu(2);
-    for (DynInst *d : {&a, &b}) {
-        d->src[0].valid = true;
-        d->src[0].cls = RegClass::Float;
-        d->src[0].tag = 99;
-        f.iq.insert(d);
-    }
+    DynInst *a = f.waiter(1, RegClass::Float, 99);
+    DynInst *b = f.waiter(2, RegClass::Float, 99);
+    f.iq.insert(a);
+    f.iq.insert(b);
     EXPECT_EQ(f.iq.wakeup(RegClass::Float, 99, 3), 2u);
-    EXPECT_TRUE(a.src[0].ready && b.src[0].ready);
+    EXPECT_TRUE(a->src[0].ready && b->src[0].ready);
 }
 
 TEST(InstQueue, SquashYoungerThanDropsTail)
 {
     IqFixture f(8);
-    DynInst a = f.alu(1), b = f.alu(5), c = f.alu(9);
-    f.iq.insert(&a);
-    f.iq.insert(&b);
-    f.iq.insert(&c);
-    f.iq.squashYoungerThan(5);
+    DynInst *a = f.alu(1), *b = f.alu(5), *c = f.alu(9);
+    f.iq.insert(a);
+    f.iq.insert(b);
+    f.iq.insert(c);
+    f.squashYoungerThan(5);
     ASSERT_EQ(f.iq.size(), 2u);
-    EXPECT_EQ(f.iq.entries().back()->seq(), 5u);
-    f.iq.squashYoungerThan(0);
+    EXPECT_EQ(seqsOf(f.members()), (std::vector<InstSeqNum>{1, 5}));
+    f.squashYoungerThan(0);
     EXPECT_TRUE(f.iq.empty());
 }
 
 TEST(InstQueue, CapacityTracking)
 {
     IqFixture f(2);
-    DynInst a = f.alu(1), b = f.alu(2);
+    DynInst *a = f.alu(1), *b = f.alu(2);
     EXPECT_FALSE(f.iq.full());
-    f.iq.insert(&a);
-    f.iq.insert(&b);
+    f.iq.insert(a);
+    f.iq.insert(b);
     EXPECT_TRUE(f.iq.full());
+    f.iq.remove(a);
+    EXPECT_FALSE(f.iq.full());
 }
 
 TEST(InstQueueDeath, InsertIntoFullPanics)
 {
     IqFixture f(1);
-    DynInst a = f.alu(1), b = f.alu(2);
-    f.iq.insert(&a);
-    EXPECT_DEATH(f.iq.insert(&b), "full IQ");
+    DynInst *a = f.alu(1), *b = f.alu(2);
+    f.iq.insert(a);
+    EXPECT_DEATH(f.iq.insert(b), "full IQ");
 }
 
 TEST(InstQueueDeath, DuplicateInsertPanics)
 {
     IqFixture f(4);
-    DynInst a = f.alu(1), b = f.alu(2);
-    f.iq.insert(&a);
-    f.iq.insert(&b);
-    DynInst dup = f.alu(1);
-    EXPECT_DEATH(f.iq.insert(&dup), "duplicate IQ entry");
+    DynInst *a = f.alu(1), *b = f.alu(2);
+    f.iq.insert(a);
+    f.iq.insert(b);
+    EXPECT_DEATH(f.iq.insert(a), "duplicate IQ entry");
 }
 
 TEST(InstQueueDeath, RemoveAbsentPanics)
 {
     IqFixture f(4);
-    DynInst a = f.alu(1);
-    EXPECT_DEATH(f.iq.remove(&a), "not present");
+    DynInst *a = f.alu(1);
+    EXPECT_DEATH(f.iq.remove(a), "not present");
 }
 
 // --- per-tag wait-list wakeup ---------------------------------------------
@@ -186,27 +240,27 @@ TEST(InstQueueDeath, RemoveAbsentPanics)
 TEST(InstQueueWaitList, RemovedEntryIsNotWoken)
 {
     IqFixture f(8);
-    DynInst a = f.waiter(1, RegClass::Int, 40);
-    DynInst b = f.waiter(2, RegClass::Int, 40);
-    f.iq.insert(&a);
-    f.iq.insert(&b);
-    f.iq.remove(&a);  // e.g. issued before the broadcast
+    DynInst *a = f.waiter(1, RegClass::Int, 40);
+    DynInst *b = f.waiter(2, RegClass::Int, 40);
+    f.iq.insert(a);
+    f.iq.insert(b);
+    f.iq.remove(a);  // e.g. issued before the broadcast
     EXPECT_EQ(f.iq.wakeup(RegClass::Int, 40, 7), 1u);
-    EXPECT_FALSE(a.src[0].ready);
-    EXPECT_TRUE(b.src[0].ready);
+    EXPECT_FALSE(a->src[0].ready);
+    EXPECT_TRUE(b->src[0].ready);
 }
 
 TEST(InstQueueWaitList, SquashedEntryIsNotWoken)
 {
     IqFixture f(8);
-    DynInst a = f.waiter(1, RegClass::Float, 9);
-    DynInst b = f.waiter(5, RegClass::Float, 9);
-    f.iq.insert(&a);
-    f.iq.insert(&b);
-    f.iq.squashYoungerThan(1);
+    DynInst *a = f.waiter(1, RegClass::Float, 9);
+    DynInst *b = f.waiter(5, RegClass::Float, 9);
+    f.iq.insert(a);
+    f.iq.insert(b);
+    f.squashYoungerThan(1);
     EXPECT_EQ(f.iq.wakeup(RegClass::Float, 9, 3), 1u);
-    EXPECT_TRUE(a.src[0].ready);
-    EXPECT_FALSE(b.src[0].ready);
+    EXPECT_TRUE(a->src[0].ready);
+    EXPECT_FALSE(b->src[0].ready);
 }
 
 TEST(InstQueueWaitList, SlotReuseAfterSquashIsDetected)
@@ -215,24 +269,20 @@ TEST(InstQueueWaitList, SlotReuseAfterSquashIsDetected)
     // younger one; the stale wait-list entry must not wake the new
     // occupant, while the new occupant's own entry must.
     IqFixture f(8);
-    DynInst slot = f.waiter(3, RegClass::Int, 12);
-    HotIdx sl = slot.slot;
-    f.iq.insert(&slot);
-    f.iq.squashYoungerThan(0);
+    DynInst *old = f.waiter(3, RegClass::Int, 12);
+    const HotIdx sl = old->slot;
+    f.iq.insert(old);
+    f.squashYoungerThan(0);
     ASSERT_TRUE(f.iq.empty());
 
-    // Recycle the same storage and hot row with a new sequence number.
-    slot = DynInst();
-    slot.si = StaticInst::alu(RegId::intReg(1), RegId::intReg(2),
-                              RegId::intReg(3));
-    f.adoptAt(slot, sl, 9);
-    slot.src[0].valid = true;
-    slot.src[0].cls = RegClass::Int;
-    slot.src[0].tag = 12;
-    f.iq.insert(&slot);
+    // The ROB hands the same storage and hot row to the next rename.
+    DynInst *fresh = f.waiter(9, RegClass::Int, 12);
+    ASSERT_EQ(fresh, old);
+    ASSERT_EQ(fresh->slot, sl);
+    f.iq.insert(fresh);
     EXPECT_EQ(f.iq.wakeup(RegClass::Int, 12, 4), 1u);
-    EXPECT_TRUE(slot.src[0].ready);
-    EXPECT_EQ(slot.src[0].tag, 4);
+    EXPECT_TRUE(fresh->src[0].ready);
+    EXPECT_EQ(fresh->src[0].tag, 4);
 }
 
 TEST(InstQueueWaitList, ReinsertionDoesNotDoubleWake)
@@ -240,12 +290,12 @@ TEST(InstQueueWaitList, ReinsertionDoesNotDoubleWake)
     // Write-back squash path: an instruction re-enters the queue while
     // its original wait-list entry may still be pending.
     IqFixture f(8);
-    DynInst a = f.waiter(4, RegClass::Int, 17);
-    f.iq.insert(&a);
-    f.iq.remove(&a);
-    f.iq.insert(&a);  // re-inserted, still waiting on tag 17
+    DynInst *a = f.waiter(4, RegClass::Int, 17);
+    f.iq.insert(a);
+    f.iq.remove(a);
+    f.iq.insert(a);  // re-inserted, still waiting on tag 17
     EXPECT_EQ(f.iq.wakeup(RegClass::Int, 17, 6), 1u);
-    EXPECT_TRUE(a.src[0].ready);
+    EXPECT_TRUE(a->src[0].ready);
 }
 
 // --- ready-list publication -----------------------------------------------
@@ -262,14 +312,14 @@ drain(InstQueue &iq)
 TEST(InstQueueReady, ReadyAtInsertIsPublishedImmediately)
 {
     IqFixture f(8);
-    DynInst a = f.alu(1);  // no sources: issue-ready on arrival
-    f.iq.insert(&a);
+    DynInst *a = f.alu(1);  // no sources: issue-ready on arrival
+    f.iq.insert(a);
     auto out = drain(f.iq);
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].inst, &a);
+    EXPECT_EQ(out[0].inst, a);
     EXPECT_EQ(out[0].seq, 1u);
-    EXPECT_EQ(out[0].slot, a.slot);
-    EXPECT_TRUE(a.inReadyQ());
+    EXPECT_EQ(out[0].slot, a->slot);
+    EXPECT_TRUE(a->inReadyQ());
     // Published exactly once.
     EXPECT_TRUE(drain(f.iq).empty());
 }
@@ -277,17 +327,17 @@ TEST(InstQueueReady, ReadyAtInsertIsPublishedImmediately)
 TEST(InstQueueReady, PublishedWhenLastSourceWakes)
 {
     IqFixture f(8);
-    DynInst a = f.alu(1);
-    a.src[0] = {10, RegClass::Int, true, false};
-    a.src[1] = {11, RegClass::Float, true, false};
-    f.iq.insert(&a);
+    DynInst *a = f.alu(1);
+    a->src[0] = {10, RegClass::Int, true, false};
+    a->src[1] = {11, RegClass::Float, true, false};
+    f.iq.insert(a);
     EXPECT_TRUE(drain(f.iq).empty());
     f.iq.wakeup(RegClass::Int, 10, 70);
     EXPECT_TRUE(drain(f.iq).empty());  // one source still outstanding
     f.iq.wakeup(RegClass::Float, 11, 71);
     auto out = drain(f.iq);
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].inst, &a);
+    EXPECT_EQ(out[0].inst, a);
 }
 
 TEST(InstQueueReady, StorePublishesOnAddressOperandOnly)
@@ -295,19 +345,19 @@ TEST(InstQueueReady, StorePublishesOnAddressOperandOnly)
     // A store issues on its address operand (src[1]); the data operand
     // (src[0]) gates completion, not readiness for issue.
     IqFixture f(8);
-    DynInst st;
-    st.si = StaticInst::store(RegId::intReg(3), RegId::intReg(2), 0x100);
-    f.adopt(st, 1);
-    st.src[0] = {20, RegClass::Int, true, false};  // data
-    st.src[1] = {21, RegClass::Int, true, false};  // address base
-    f.iq.insert(&st);
+    DynInst *st = f.rob.allocate();
+    st->si = StaticInst::store(RegId::intReg(3), RegId::intReg(2), 0x100);
+    st->setSeq(1);
+    st->src[0] = {20, RegClass::Int, true, false};  // data
+    st->src[1] = {21, RegClass::Int, true, false};  // address base
+    f.iq.insert(st);
     EXPECT_TRUE(drain(f.iq).empty());
     f.iq.wakeup(RegClass::Int, 20, 70);  // data wakes: still not ready
     EXPECT_TRUE(drain(f.iq).empty());
     f.iq.wakeup(RegClass::Int, 21, 71);  // address wakes: publish
     auto out = drain(f.iq);
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].inst, &st);
+    EXPECT_EQ(out[0].inst, st);
 }
 
 TEST(InstQueueReady, ReinsertionAfterRemoveRepublishes)
@@ -315,25 +365,52 @@ TEST(InstQueueReady, ReinsertionAfterRemoveRepublishes)
     // Write-back rejection path: the instruction issued (leaving the
     // queue), got denied a register, and re-enters ready.
     IqFixture f(8);
-    DynInst a = f.alu(1);
-    f.iq.insert(&a);
+    DynInst *a = f.alu(1);
+    f.iq.insert(a);
     ASSERT_EQ(drain(f.iq).size(), 1u);
-    f.iq.remove(&a);
-    EXPECT_FALSE(a.inReadyQ());
-    f.iq.insert(&a);
+    f.iq.remove(a);
+    EXPECT_FALSE(a->inReadyQ());
+    f.iq.insert(a);
     auto out = drain(f.iq);
     ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].inst, &a);
+    EXPECT_EQ(out[0].inst, a);
 }
 
 TEST(InstQueueReady, ScanIssueModeDoesNotPublish)
 {
     IqFixture f(8);
     f.iq.setTrackReady(false);
-    DynInst a = f.alu(1);
-    f.iq.insert(&a);
+    DynInst *a = f.alu(1);
+    f.iq.insert(a);
     EXPECT_TRUE(drain(f.iq).empty());
-    EXPECT_FALSE(a.inReadyQ());
+    EXPECT_FALSE(a->inReadyQ());
+}
+
+/** xorshift64: the random tests' deterministic stimulus. */
+struct XorShift
+{
+    std::uint64_t state;
+
+    std::uint64_t
+    operator()()
+    {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+    }
+};
+
+/** Fill @p d's two sources with random (class, tag, ready) triples. */
+void
+randomSources(DynInst &d, XorShift &next)
+{
+    for (int si = 0; si < 2; ++si) {
+        d.src[si].valid = (next() & 3) != 0;
+        d.src[si].cls = (next() & 1) ? RegClass::Int : RegClass::Float;
+        d.src[si].tag = static_cast<std::uint16_t>(next() % 48);
+        d.src[si].ready = (next() & 3) == 0;
+    }
 }
 
 TEST(InstQueueReady, MatchesFullScanOnRandomStimulus)
@@ -342,56 +419,42 @@ TEST(InstQueueReady, MatchesFullScanOnRandomStimulus)
     // ever published (and still valid) must equal exactly the resident
     // issue-ready instructions a full-queue scan would select from —
     // no duplicates, no misses.
-    IqFixture f(64);
-    std::vector<DynInst> pool(1024);
+    IqFixture f(64, 128);
     std::vector<ReadyRef> published;
+    XorShift next{0x853c49e6748fea9bull};
 
-    std::uint64_t rng = 0x853c49e6748fea9bull;
-    auto next = [&rng] {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        return rng;
-    };
-
-    std::size_t created = 0;
     InstSeqNum seq = 0;
     for (int step = 0; step < 4000; ++step) {
         switch (next() % 4) {
           case 0:
           case 1: {  // insert (sometimes a store, sometimes ready)
-            if (created >= pool.size() || f.iq.full())
+            f.retire();
+            if (f.rob.full() || f.iq.full())
                 break;
-            DynInst d;
+            DynInst *d = f.rob.allocate();
             if ((next() & 3) == 0) {
-                d.si = StaticInst::store(RegId::intReg(3),
-                                         RegId::intReg(2), 0x100);
+                d->si = StaticInst::store(RegId::intReg(3),
+                                          RegId::intReg(2), 0x100);
             } else {
-                d.si = StaticInst::alu(RegId::intReg(1), RegId::intReg(2),
-                                       RegId::intReg(3));
+                d->si = StaticInst::alu(RegId::intReg(1),
+                                        RegId::intReg(2),
+                                        RegId::intReg(3));
             }
-            f.adopt(d, ++seq);
-            for (int si = 0; si < 2; ++si) {
-                d.src[si].valid = (next() & 3) != 0;
-                d.src[si].cls =
-                    (next() & 1) ? RegClass::Int : RegClass::Float;
-                d.src[si].tag = static_cast<std::uint16_t>(next() % 48);
-                d.src[si].ready = (next() & 3) == 0;
-            }
-            pool[created] = d;
-            f.iq.insert(&pool[created]);
-            ++created;
+            d->setSeq(++seq);
+            randomSources(*d, next);
+            f.iq.insert(d);
             break;
           }
           case 2: {  // remove a random resident entry (issue)
             if (f.iq.empty())
                 break;
-            f.iq.removeAt(next() % f.iq.size());
+            const auto members = f.members();
+            f.iq.remove(members[next() % members.size()]);
             break;
           }
           case 3: {  // broadcast or squash
             if ((next() & 7) == 0) {
-                f.iq.squashYoungerThan(seq > 0 ? next() % seq : 0);
+                f.squashYoungerThan(seq > 0 ? next() % seq : 0);
             } else {
                 f.iq.wakeup((next() & 1) ? RegClass::Int : RegClass::Float,
                             static_cast<std::uint16_t>(next() % 48),
@@ -408,14 +471,14 @@ TEST(InstQueueReady, MatchesFullScanOnRandomStimulus)
     // Valid publications, deduplicated by instruction.
     std::set<const DynInst *> readySet;
     for (const ReadyRef &e : published) {
-        if (!e.inst->inIq() || e.inst->seq() != e.seq)
+        if (!f.hot.live(e.slot, e.seq) || !f.hot.isInIq(e.slot))
             continue;  // stale: issued, squashed, or slot reused
         EXPECT_TRUE(e.inst->issueOperandsReady());
         EXPECT_TRUE(readySet.insert(e.inst).second)
             << "duplicate publication of sn:" << e.seq;
     }
     // Exactly the entries a full scan would find ready.
-    for (const DynInst *inst : f.iq.entries()) {
+    for (const DynInst *inst : f.members()) {
         EXPECT_EQ(readySet.count(inst) == 1, inst->issueOperandsReady())
             << "sn:" << inst->seq();
     }
@@ -426,64 +489,49 @@ TEST(InstQueueWaitList, MatchesScanReferenceOnRandomStimulus)
     // Drive a wait-list queue and a scan-mode queue with an identical
     // pseudo-random insert/remove/squash/wakeup stimulus; every wakeup
     // must report the same count and leave identical operand state.
-    // Each queue gets its own hot pool (parallel universes must not
-    // share residency flags).
-    IqFixture fast(64, 1024);
-    IqFixture ref(64, 1024);
+    // Each queue gets its own ROB and hot pool (parallel universes must
+    // not share residency flags).
+    IqFixture fast(64, 128);
+    IqFixture ref(64, 128);
     ref.iq.setScanWakeup(true);
+    XorShift next{0x9e3779b97f4a7c15ull};
 
-    std::vector<DynInst> fastPool(512), refPool(512);
-    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
-    auto next = [&rng] {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        return rng;
-    };
-
-    std::size_t created = 0;
     InstSeqNum seq = 0;
     for (int step = 0; step < 2000; ++step) {
-        std::uint64_t r = next();
-        switch (r % 4) {
+        switch (next() % 4) {
           case 0:
           case 1: {  // insert a fresh instruction
-            if (created >= fastPool.size() || fast.iq.full())
+            fast.retire();
+            ref.retire();
+            ASSERT_EQ(fast.rob.size(), ref.rob.size());
+            if (fast.rob.full() || fast.iq.full())
                 break;
-            DynInst d;
-            d.si = StaticInst::alu(RegId::intReg(1), RegId::intReg(2),
-                                   RegId::intReg(3));
             ++seq;
-            for (int si = 0; si < 2; ++si) {
-                d.src[si].valid = (next() & 3) != 0;
-                d.src[si].cls =
-                    (next() & 1) ? RegClass::Int : RegClass::Float;
-                d.src[si].tag = static_cast<std::uint16_t>(next() % 48);
-                d.src[si].ready = (next() & 3) == 0;
-            }
-            fastPool[created] = d;
-            fast.adopt(fastPool[created], seq);
-            refPool[created] = d;
-            ref.adopt(refPool[created], seq);
-            fast.iq.insert(&fastPool[created]);
-            ref.iq.insert(&refPool[created]);
-            ++created;
+            DynInst *d = fast.alu(seq);
+            randomSources(*d, next);
+            DynInst *r = ref.alu(seq);
+            std::copy(std::begin(d->src), std::end(d->src),
+                      std::begin(r->src));
+            fast.iq.insert(d);
+            ref.iq.insert(r);
             break;
           }
           case 2: {  // remove a random resident entry (issue)
             if (fast.iq.empty())
                 break;
-            std::size_t i = next() % fast.iq.size();
-            ASSERT_EQ(fast.iq.at(i)->seq(), ref.iq.at(i)->seq());
-            fast.iq.removeAt(i);
-            ref.iq.removeAt(i);
+            const auto fm = fast.members();
+            const auto rm = ref.members();
+            const std::size_t i = next() % fm.size();
+            ASSERT_EQ(fm[i]->seq(), rm[i]->seq());
+            fast.iq.remove(fm[i]);
+            ref.iq.remove(rm[i]);
             break;
           }
           case 3: {  // broadcast or squash
             if ((next() & 7) == 0) {
                 InstSeqNum keep = seq > 0 ? next() % seq : 0;
-                fast.iq.squashYoungerThan(keep);
-                ref.iq.squashYoungerThan(keep);
+                fast.squashYoungerThan(keep);
+                ref.squashYoungerThan(keep);
             } else {
                 RegClass cls =
                     (next() & 1) ? RegClass::Int : RegClass::Float;
@@ -498,16 +546,18 @@ TEST(InstQueueWaitList, MatchesScanReferenceOnRandomStimulus)
           }
         }
         ASSERT_EQ(fast.iq.size(), ref.iq.size());
-    }
-
-    // Every operand of every instruction ever created agrees bit for
-    // bit between the two implementations.
-    for (std::size_t i = 0; i < created; ++i) {
-        for (int si = 0; si < 2; ++si) {
-            EXPECT_EQ(fastPool[i].src[si].ready, refPool[i].src[si].ready)
-                << "inst " << i << " src " << si;
-            EXPECT_EQ(fastPool[i].src[si].tag, refPool[i].src[si].tag)
-                << "inst " << i << " src " << si;
+        // Every operand of every in-flight instruction agrees bit for
+        // bit between the two implementations.
+        ASSERT_EQ(fast.rob.size(), ref.rob.size());
+        for (std::size_t i = 0; i < fast.rob.size(); ++i) {
+            for (int si = 0; si < 2; ++si) {
+                ASSERT_EQ(fast.rob.at(i).src[si].ready,
+                          ref.rob.at(i).src[si].ready)
+                    << "step " << step << " entry " << i;
+                ASSERT_EQ(fast.rob.at(i).src[si].tag,
+                          ref.rob.at(i).src[si].tag)
+                    << "step " << step << " entry " << i;
+            }
         }
     }
 }

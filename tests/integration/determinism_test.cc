@@ -100,13 +100,14 @@ expectIdenticalMetrics(const SimResults &a, const SimResults &b,
 
 TEST(Determinism, EventSchedulerMatchesLegacyScansByteForByte)
 {
-    // The event-driven scheduler core — IQ ready-list issue and the
-    // address-indexed LSQ disambiguation table — is a pure mechanism
-    // change: every schedule, and therefore every exported metric
-    // (latency distributions included), must be byte-identical to the
-    // legacy full-queue scans, for every rename scheme (the VP
-    // write-back squash re-inserts issued instructions, the hardest
-    // path for the ready list).
+    // The event-driven scheduler core — IQ ready-list issue, its parked
+    // FU-stall and register-wait lists, and the address-indexed LSQ
+    // disambiguation table — is a pure mechanism change: every
+    // schedule, and therefore every exported metric (latency
+    // distributions included), must be byte-identical to the legacy
+    // full-queue scans, for every rename scheme (the VP write-back
+    // squash re-inserts issued instructions, the hardest path for the
+    // ready list).
     struct Mode
     {
         const char *name;
@@ -117,24 +118,44 @@ TEST(Determinism, EventSchedulerMatchesLegacyScansByteForByte)
         {"scan-disambig", false, true, false},
         {"all-scans", true, true, true},
     };
-    for (RenameScheme scheme : {RenameScheme::Conventional,
-                                RenameScheme::VPAllocAtWriteback,
-                                RenameScheme::VPAllocAtIssue,
-                                RenameScheme::ConventionalEarlyRelease}) {
+    struct Regime
+    {
+        const char *bench;
+        RenameScheme scheme;
+        bool starved;  ///< 48 registers per file, NRR = 1
+    };
+    const Regime regimes[] = {
+        {"vortex", RenameScheme::Conventional, false},
+        {"vortex", RenameScheme::VPAllocAtWriteback, false},
+        {"vortex", RenameScheme::VPAllocAtIssue, false},
+        {"vortex", RenameScheme::ConventionalEarlyRelease, false},
+        // Register-starved: issue allocation parks most ready
+        // instructions on the register-wait lists, and write-back
+        // allocation re-inserts most completions into the queue.
+        {"swim", RenameScheme::VPAllocAtIssue, true},
+        {"swim", RenameScheme::VPAllocAtWriteback, true},
+        {"mgrid", RenameScheme::VPAllocAtIssue, true},
+        {"mgrid", RenameScheme::VPAllocAtWriteback, true},
+    };
+    for (const Regime &r : regimes) {
         SimConfig c = quick();
-        c.setScheme(scheme);
-        if (scheme == RenameScheme::ConventionalEarlyRelease)
+        c.setScheme(r.scheme);
+        if (r.scheme == RenameScheme::ConventionalEarlyRelease)
             c.core.fetch.wrongPath = WrongPathMode::Stall;
-        auto event = runOne("vortex", c);
+        if (r.starved) {
+            c.setPhysRegs(48);
+            c.setNrr(1);
+        }
+        const std::string label = std::string(r.bench) + " " +
+            renameSchemeName(r.scheme) + (r.starved ? " 48/nrr1" : "");
+        auto event = runOne(r.bench, c);
         for (const Mode &m : modes) {
             SimConfig s = c;
             s.core.iqScanIssue = m.scanIssue;
             s.core.lsqScanDisambig = m.scanDisambig;
             s.core.iqScanWakeup = m.scanWakeup;
-            auto scan = runOne("vortex", s);
-            expectIdenticalMetrics(
-                event, scan,
-                std::string(renameSchemeName(scheme)) + " vs " + m.name);
+            auto scan = runOne(r.bench, s);
+            expectIdenticalMetrics(event, scan, label + " vs " + m.name);
         }
     }
 }

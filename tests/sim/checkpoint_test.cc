@@ -344,6 +344,68 @@ TEST(Checkpoint, NoWarmupMeansNoCheckpoint)
     fs::remove_all(c.ckpt.dir);
 }
 
+TEST(Checkpoint, MissingDirectoryIsCreatedOnFirstSave)
+{
+    // Like --result-cache, --ckpt-dir may name a directory that does
+    // not exist yet (two levels deep here): the first save creates it,
+    // and the next run restores from it.
+    const fs::path root = fs::path(freshDir("missing_root"));
+    const fs::path dir = root / "a" / "b";
+    SimConfig c = quick();
+    c.ckpt.dir = dir.string();
+    ::testing::internal::CaptureStderr();
+    auto cold = runOne("vortex", c);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err.find("cannot write checkpoint"), std::string::npos)
+        << err;
+    ASSERT_TRUE(fs::is_directory(dir));
+    EXPECT_EQ(countCheckpoints(c.ckpt.dir), 1u);
+    auto warm = runOne("vortex", c);
+    expectIdenticalMetrics(cold, warm, "created-dir restore");
+    fs::remove_all(root);
+}
+
+TEST(Checkpoint, UnwritableDirectoryWarnsOncePerProcess)
+{
+    // A directory that cannot be created (its parent is a regular
+    // file) makes every save fail. Results are unaffected and the
+    // warning is printed once per process, not once per cell.
+    const fs::path root = fs::path(freshDir("unwritable"));
+    const fs::path blocker = root / "file";
+    writeFileAtomic(blocker.string(), "not a directory");
+    SimConfig c = quick();
+    c.ckpt.dir = (blocker / "ckpt").string();
+    SimConfig writable = quick();
+    writable.ckpt.dir = freshDir("unwritable_ref");
+    std::vector<GridCell> cells;
+    for (const char *bench : {"vortex", "swim", "compress"})
+        cells.push_back({bench, c});
+
+    ::testing::internal::CaptureStderr();
+    auto results = runGrid(cells, 2);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+
+    std::size_t warnings = 0;
+    for (std::size_t at = err.find("cannot write checkpoint");
+         at != std::string::npos;
+         at = err.find("cannot write checkpoint", at + 1))
+        ++warnings;
+    // Exactly one when this test has the process to itself (ctest runs
+    // each test alone); never more than one in any case.
+    EXPECT_LE(warnings, 1u) << err;
+    if (::testing::UnitTest::GetInstance()->test_to_run_count() == 1) {
+        EXPECT_EQ(warnings, 1u) << err;
+    }
+    ASSERT_EQ(results.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        expectIdenticalMetrics(runOne(cells[i].benchmark, writable),
+                               results[i],
+                               "unwritable ckpt " + cells[i].benchmark);
+    }
+    fs::remove_all(root);
+    fs::remove_all(writable.ckpt.dir);
+}
+
 TEST(Checkpoint, GridCellsHitTheCacheAcrossJobs)
 {
     // A grid populated serially and re-run with 4 workers must agree
