@@ -8,8 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,8 @@
 #include "rename/virtual_physical.hh"
 #include "sim/experiment.hh"
 #include "sim/metrics.hh"
+#include "sim/result_cache.hh"
+#include "sim/results_io.hh"
 #include "trace/kernels/kernels.hh"
 
 #include "../tests/support/alloc_count.hh"
@@ -625,6 +629,123 @@ BM_CollectMetrics(benchmark::State &state)
         state.SkipWithError("warm metrics walk allocated");
 }
 BENCHMARK(BM_CollectMetrics);
+
+/** The grid overhead of a warm result cache, on a real paper record
+ *  (one detailed paper-config cell: 775 metrics). Each row reports
+ *  the record's metric count and the bytes it handles. */
+GridCell
+paperRecordCell(const std::string &cacheDir)
+{
+    SimConfig config = paperConfig();
+    config.skipInsts = 2000;
+    config.measureInsts = 20000;
+    config.core.fetch.wrongPath = WrongPathMode::Stall;
+    config.resultCache.dir = cacheDir;
+    return GridCell{"compress", config};
+}
+
+std::string
+freshBenchDir(const char *tag)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / tag;
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    return dir.string();
+}
+
+/** One result-cache hit: read, container verify, schema memo lookup
+ *  and value copies into a fresh record. */
+void
+BM_ResultCacheLoad(benchmark::State &state)
+{
+    const std::string dir = freshBenchDir("vpr_bench_rc_load");
+    const GridCell cell = paperRecordCell(dir);
+    const SimResults record = runOne(cell.benchmark, cell.config);
+    storeCachedResult(dir, cell, record);
+    std::size_t metrics = 0;
+    std::uint64_t allocs = 0;
+    for (auto _ : state) {
+        testsupport::AllocGuard g;
+        SimResults out;
+        if (!loadCachedResult(dir, cell, out)) {
+            state.SkipWithError("result-cache load missed");
+            break;
+        }
+        metrics = out.metrics.size();
+        benchmark::DoNotOptimize(out.metrics.all().data());
+        allocs += g.count();
+    }
+    state.counters["metrics"] = static_cast<double>(metrics);
+    state.counters["allocs_per_load"] =
+        static_cast<double>(allocs) /
+        static_cast<double>(std::max<benchmark::IterationCount>(
+            state.iterations(), 1));
+    state.counters["entry_bytes"] = static_cast<double>(
+        std::filesystem::file_size(resultCachePath(
+            dir, cell.benchmark, resultCacheDigest(cell))));
+    std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_ResultCacheLoad)->Unit(benchmark::kMicrosecond);
+
+/** One result-cache store: encode, compress and the atomic publish. */
+void
+BM_ResultCacheStore(benchmark::State &state)
+{
+    const std::string dir = freshBenchDir("vpr_bench_rc_store");
+    const GridCell cell = paperRecordCell(dir);
+    const SimResults record = runOne(cell.benchmark, cell.config);
+    std::uint64_t allocs = 0;
+    for (auto _ : state) {
+        testsupport::AllocGuard g;
+        storeCachedResult(dir, cell, record);
+        allocs += g.count();
+    }
+    state.counters["metrics"] = static_cast<double>(record.metrics.size());
+    state.counters["allocs_per_store"] =
+        static_cast<double>(allocs) /
+        static_cast<double>(std::max<benchmark::IterationCount>(
+            state.iterations(), 1));
+    state.counters["entry_bytes"] = static_cast<double>(
+        std::filesystem::file_size(resultCachePath(
+            dir, cell.benchmark, resultCacheDigest(cell))));
+    std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_ResultCacheStore)->Unit(benchmark::kMicrosecond);
+
+/** CSV export of a 12-cell grid (four schemes x three register-file
+ *  sizes) whose cells all carry the same paper record. */
+void
+BM_WriteResultsCsv(benchmark::State &state)
+{
+    const GridCell base = paperRecordCell("");
+    const SimResults record = runOne(base.benchmark, base.config);
+    std::vector<GridCell> cells;
+    for (RenameScheme scheme :
+         {RenameScheme::Conventional, RenameScheme::ConventionalEarlyRelease,
+          RenameScheme::VPAllocAtWriteback, RenameScheme::VPAllocAtIssue})
+        for (std::uint16_t regs : {48, 64, 96}) {
+            GridCell cell = base;
+            cell.config.setScheme(scheme);
+            cell.config.setPhysRegs(regs);
+            cells.push_back(cell);
+        }
+    const std::vector<SimResults> results(cells.size(), record);
+    std::vector<std::size_t> indices(cells.size());
+    for (std::size_t i = 0; i < indices.size(); ++i)
+        indices[i] = i;
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        std::ostringstream os;
+        writeResultsCsv(os, "bench", ShardSpec{}, indices, cells, results);
+        bytes = os.str().size();
+        benchmark::DoNotOptimize(bytes);
+    }
+    state.counters["metrics"] = static_cast<double>(record.metrics.size());
+    state.counters["csv_bytes"] = static_cast<double>(bytes);
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK(BM_WriteResultsCsv)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

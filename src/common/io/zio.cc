@@ -1,9 +1,13 @@
 #include "common/io/zio.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string_view>
+
+#include <sys/stat.h>
 
 #ifdef _WIN32
 #include <process.h>
@@ -27,6 +31,8 @@ constexpr char kVprzMagic[4] = {'V', 'P', 'R', 'Z'};
 constexpr std::uint8_t kVprzVersion = 1;
 constexpr std::uint8_t kCodecStore = 0;
 constexpr std::uint8_t kCodecZlib = 1;
+/** Deflate's largest expansion: a 258-byte match coded in two bits. */
+constexpr std::uint64_t kMaxDeflateRatio = 1032;
 
 void
 appendU64(std::string &out, std::uint64_t v)
@@ -77,38 +83,46 @@ deflateBytes(const std::string &in)
     return out;
 }
 
-/** Inflate @p in, which must expand to exactly @p rawSize bytes. */
+/** Inflate @p in straight into a buffer of exactly @p rawSize bytes;
+ *  the stream must fill it and end there. */
 std::string
-inflateBytes(const std::string &in, std::uint64_t rawSize)
+inflateBytes(std::string_view in, std::uint64_t rawSize)
 {
     z_stream zs;
     std::memset(&zs, 0, sizeof(zs));
     if (inflateInit(&zs) != Z_OK)
         throw CkptError("zlib inflateInit failed");
-    std::string out;
-    out.reserve(static_cast<std::size_t>(rawSize));
-    char chunk[64 * 1024];
-    zs.next_in =
-        reinterpret_cast<Bytef *>(const_cast<char *>(in.data()));
+    std::string out(static_cast<std::size_t>(rawSize), '\0');
+    zs.next_in = reinterpret_cast<Bytef *>(const_cast<char *>(in.data()));
     zs.avail_in = static_cast<uInt>(in.size());
-    int rc;
-    do {
-        zs.next_out = reinterpret_cast<Bytef *>(chunk);
-        zs.avail_out = sizeof(chunk);
+    std::size_t produced = 0;
+    unsigned char probe = 0;
+    int rc = Z_OK;
+    while (rc != Z_STREAM_END) {
+        // Once the buffer is full, a one-byte probe tells a stream that
+        // ends here from one that would inflate past the declared size.
+        const bool full = produced == out.size();
+        zs.next_out = full ? &probe
+                           : reinterpret_cast<Bytef *>(&out[produced]);
+        zs.avail_out = full ? 1u
+                            : static_cast<uInt>(std::min<std::size_t>(
+                                  out.size() - produced, 1u << 30));
+        const uInt before = zs.avail_out;
         rc = inflate(&zs, Z_NO_FLUSH);
         if (rc != Z_OK && rc != Z_STREAM_END) {
             inflateEnd(&zs);
             throw CkptError("zlib inflate failed (corrupted stream)");
         }
-        out.append(chunk, sizeof(chunk) - zs.avail_out);
-        if (out.size() > rawSize) {
+        const uInt wrote = before - zs.avail_out;
+        if (full && wrote) {
             inflateEnd(&zs);
             throw CkptError("VPRZ payload inflates past its declared "
                             "size");
         }
-    } while (rc != Z_STREAM_END);
+        produced += full ? 0 : wrote;
+    }
     inflateEnd(&zs);
-    if (out.size() != rawSize)
+    if (produced != out.size())
         throw CkptError("VPRZ payload shorter than declared");
     return out;
 }
@@ -191,16 +205,17 @@ vprzUnpack(const std::string &raw, const std::string &expectKind)
     pos += 2;
     if (raw.size() - pos < kindLen)
         throw CkptError("truncated VPRZ container");
-    std::string kind = raw.substr(pos, kindLen);
+    const std::string_view kind(raw.data() + pos, kindLen);
     pos += kindLen;
     if (!expectKind.empty() && kind != expectKind)
         throw CkptError("VPRZ payload kind mismatch (file holds '" +
-                        kind + "', expected '" + expectKind + "')");
+                        std::string(kind) + "', expected '" +
+                        expectKind + "')");
     std::uint64_t rawSize = readU64(raw, pos);
     std::uint64_t storedSize = readU64(raw, pos);
-    if (raw.size() - pos < storedSize + 8)
+    if (storedSize > raw.size() - pos || raw.size() - pos - storedSize < 8)
         throw CkptError("truncated VPRZ container");
-    std::string stored = raw.substr(pos, storedSize);
+    const std::string_view stored(raw.data() + pos, storedSize);
     pos += storedSize;
     std::uint64_t checksum = readU64(raw, pos);
     if (pos != raw.size())
@@ -210,8 +225,15 @@ vprzUnpack(const std::string &raw, const std::string &expectKind)
     if (codec == kCodecStore) {
         if (stored.size() != rawSize)
             throw CkptError("VPRZ stored size disagrees with raw size");
-        payload = std::move(stored);
+        payload = std::string(stored);
     } else if (codec == kCodecZlib) {
+        // The raw size is not yet covered by the checksum, so bound it
+        // by what the stored bytes can inflate to before allocating:
+        // deflate expands at most kMaxDeflateRatio:1.
+        if (rawSize > storedSize * kMaxDeflateRatio)
+            throw CkptError("VPRZ raw size " + std::to_string(rawSize) +
+                            " exceeds what " + std::to_string(storedSize) +
+                            " stored bytes can inflate to");
 #ifdef VPR_HAVE_ZLIB
         payload = inflateBytes(stored, rawSize);
 #else
@@ -230,12 +252,24 @@ vprzUnpack(const std::string &raw, const std::string &expectKind)
 bool
 readFileBytes(const std::string &path, std::string &out)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
         return false;
-    out.assign(std::istreambuf_iterator<char>(is),
-               std::istreambuf_iterator<char>());
-    return is.good() || is.eof();
+    std::setvbuf(f, nullptr, _IONBF, 0);
+    // One read sized by the open file itself (so a concurrent atomic
+    // re-publish of the path cannot tear it), then read on to EOF:
+    // pipes report no size.
+    struct stat st;
+    const bool regular = ::fstat(::fileno(f), &st) == 0 &&
+                         (st.st_mode & S_IFMT) == S_IFREG;
+    out.resize(regular ? static_cast<std::size_t>(st.st_size) : 0);
+    out.resize(std::fread(out.data(), 1, out.size(), f));
+    char chunk[4096];
+    while (!std::feof(f) && !std::ferror(f))
+        out.append(chunk, std::fread(chunk, 1, sizeof(chunk), f));
+    const bool ok = !std::ferror(f);
+    std::fclose(f);
+    return ok;
 }
 
 bool

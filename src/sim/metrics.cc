@@ -1,8 +1,8 @@
 #include "sim/metrics.hh"
 
+#include <charconv>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 
 namespace vpr
 {
@@ -19,14 +19,22 @@ Metric::desc() const
     return stats::SymbolTable::global().text(descSym);
 }
 
+std::size_t
+Metric::writeText(char *buf) const
+{
+    char *const end = buf + kMaxTextLen;
+    const std::to_chars_result r =
+        kind == Kind::UInt
+            ? std::to_chars(buf, end, uval)
+            : std::to_chars(buf, end, rval, std::chars_format::general, 17);
+    return static_cast<std::size_t>(r.ptr - buf);
+}
+
 std::string
 Metric::text() const
 {
-    if (kind == Kind::UInt)
-        return std::to_string(uval);
-    std::ostringstream os;
-    os << std::setprecision(17) << rval;
-    return os.str();
+    char buf[kMaxTextLen];
+    return std::string(buf, writeText(buf));
 }
 
 Metric &

@@ -55,8 +55,16 @@ struct Metric
     }
 
     /** Exact text form: integers in full, reals with round-trip
-     *  precision (17 significant digits). */
+     *  precision (17 significant digits, printf's "%.17g"). */
     std::string text() const;
+
+    /** Longest text(): 20 counter digits, or a real such as
+     *  "-2.2250738585072014e-308". */
+    static constexpr std::size_t kMaxTextLen = 32;
+
+    /** Write text() into @p buf (kMaxTextLen bytes) without allocating;
+     *  returns its length. */
+    std::size_t writeText(char *buf) const;
 };
 
 /** An ordered, name-indexed collection of metrics. */

@@ -1,12 +1,16 @@
 #include "sim/result_cache.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/io/zio.hh"
 #include "common/logging.hh"
@@ -57,121 +61,319 @@ doubleOf(std::uint64_t bits)
     return d;
 }
 
-/** Strict whole-string hex parse; throws CkptError on junk. */
-std::uint64_t
-parseHex64(const std::string &text)
+void
+putU64(std::string &out, std::uint64_t v)
 {
-    if (text.empty() || text.size() > 16)
-        throw CkptError("result-cache entry: bad hex field '" + text +
-                        "'");
-    std::uint64_t v = 0;
-    for (char c : text) {
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else
-            throw CkptError("result-cache entry: bad hex field '" +
-                            text + "'");
-        v = (v << 4) | static_cast<std::uint64_t>(digit);
+    for (int i = 0; i < 8; ++i)
+        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+/** LEB128: seven bits per byte, high bit set on all but the last. */
+void
+putVarint(std::string &out, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+        v >>= 7;
     }
-    return v;
+    out.push_back(static_cast<char>(v));
 }
 
-/** One "key=value" header line; throws on mismatch of @p key. */
-std::string
-headerValue(std::istream &is, const std::string &key)
+void
+putBytes(std::string &out, std::string_view bytes)
 {
-    std::string line;
-    if (!std::getline(is, line) ||
-        line.compare(0, key.size() + 1, key + "=") != 0)
-        throw CkptError("result-cache entry: missing '" + key +
-                        "' header");
-    return line.substr(key.size() + 1);
+    putVarint(out, bytes.size());
+    out.append(bytes);
 }
 
-/** Serialize one record: header + one tab-separated line per metric.
- *  Reals travel as raw IEEE-754 bits so a replayed record renders
- *  byte-identically in every exporter. */
+/** Bounds-checked cursor over an entry; every short read throws. */
+class EntryReader
+{
+  public:
+    EntryReader(std::string_view in, const char *section)
+        : in(in), section(section)
+    {}
+
+    std::uint8_t
+    u8()
+    {
+        need(1);
+        return static_cast<unsigned char>(in[pos++]);
+    }
+
+    std::uint64_t
+    u64()
+    {
+        need(8);
+        std::uint64_t v = 0;
+        for (int i = 0; i < 8; ++i)
+            v |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(in[pos + i]))
+                 << (8 * i);
+        pos += 8;
+        return v;
+    }
+
+    std::uint64_t
+    varint()
+    {
+        std::uint64_t v = 0;
+        for (int shift = 0; shift < 64; shift += 7) {
+            const std::uint8_t b = u8();
+            v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+            if (!(b & 0x80))
+                return v;
+        }
+        fail("overlong varint");
+    }
+
+    std::string_view
+    bytes(std::uint64_t n)
+    {
+        need(n);
+        const std::string_view out = in.substr(pos, n);
+        pos += n;
+        return out;
+    }
+
+    /** A varint length followed by that many bytes. */
+    std::string_view lengthPrefixed() { return bytes(varint()); }
+
+    std::string_view rest() { return bytes(in.size() - pos); }
+    bool done() const { return pos == in.size(); }
+
+    [[noreturn]] void
+    fail(const std::string &what) const
+    {
+        throw CkptError(std::string("result-cache entry: ") + section +
+                        ": " + what);
+    }
+
+  private:
+    void
+    need(std::uint64_t n) const
+    {
+        if (n > in.size() - pos)
+            fail("truncated");
+    }
+
+    std::string_view in;
+    const char *section;
+    std::size_t pos = 0;
+};
+
+/**
+ * One metric schema: the encoded schema section of an entry and a
+ * record with its names, descriptions and kinds (a load copies it and
+ * overwrites every value). Immutable once built, so workers share it
+ * without locking.
+ */
+struct ResultSchema
+{
+    std::string bytes;  ///< encoded schema section
+    MetricsRecord proto;
+};
+
+/**
+ * Process-wide memo of the schemas loads have decoded: a paper sweep
+ * has one schema per simulation mode, so after the first entry of
+ * each, a load interns nothing and only copies values. Bounded, with
+ * round-robin replacement, and keyed by the schema bytes themselves:
+ * over a few slots a size check and a memcmp cost less than hashing
+ * the section.
+ */
+class SchemaMemo
+{
+  public:
+    using Ptr = std::shared_ptr<const ResultSchema>;
+
+    static SchemaMemo &
+    global()
+    {
+        static SchemaMemo memo;
+        return memo;
+    }
+
+    /** The memoized schema encoded as @p bytes, or null. */
+    Ptr
+    find(std::string_view bytes) const
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        return findLocked(bytes);
+    }
+
+    /** Memoize @p schema; returns the entry to use, which is an equal
+     *  one another worker inserted first, if any. */
+    Ptr
+    insert(Ptr schema)
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        if (Ptr first = findLocked(schema->bytes))
+            return first;
+        slots[next] = schema;
+        next = (next + 1) % slots.size();
+        return schema;
+    }
+
+  private:
+    Ptr
+    findLocked(std::string_view bytes) const
+    {
+        for (const Ptr &s : slots)
+            if (s && s->bytes == bytes)
+                return s;
+        return nullptr;
+    }
+
+    mutable std::mutex mtx;
+    std::array<Ptr, 8> slots;
+    std::size_t next = 0;
+};
+
+/** Encode the schema section of @p record: the distinct descriptions
+ *  in first-use order, then per metric its name front-coded against
+ *  the previous one, its kind and its description index. */
+std::string
+encodeSchema(const MetricsRecord &record)
+{
+    // Description index by SymId (ids are dense): no per-entry nodes.
+    constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
+    std::vector<stats::SymId> descs;
+    std::vector<std::uint32_t> descIndex;
+    for (const Metric &m : record.all()) {
+        if (m.descSym >= descIndex.size())
+            descIndex.resize(m.descSym + 1, kUnseen);
+        if (descIndex[m.descSym] == kUnseen) {
+            descIndex[m.descSym] = static_cast<std::uint32_t>(descs.size());
+            descs.push_back(m.descSym);
+        }
+    }
+
+    std::string out;
+    out.reserve(16 * record.size());  // ~10 bytes per paper metric
+    putVarint(out, descs.size());
+    for (stats::SymId d : descs)
+        putBytes(out, stats::SymbolTable::global().text(d));
+    putVarint(out, record.size());
+    std::string_view prev;
+    for (const Metric &m : record.all()) {
+        const std::string_view name = m.name();
+        std::size_t shared = 0;
+        while (shared < prev.size() && shared < name.size() &&
+               prev[shared] == name[shared])
+            ++shared;
+        putVarint(out, shared);
+        putBytes(out, name.substr(shared));
+        out.push_back(static_cast<char>(m.kind));
+        putVarint(out, descIndex[m.descSym]);
+        prev = name;
+    }
+    return out;
+}
+
+/** Invert encodeSchema, interning every text; throws CkptError on any
+ *  malformed field. */
+MetricsRecord
+decodeSchema(std::string_view bytes)
+{
+    EntryReader r(bytes, "schema");
+    auto &symbols = stats::SymbolTable::global();
+    const std::uint64_t descCount = r.varint();
+    std::vector<stats::SymId> descs;
+    for (std::uint64_t i = 0; i < descCount; ++i)
+        descs.push_back(symbols.intern(r.lengthPrefixed()));
+
+    const std::uint64_t count = r.varint();
+    MetricsRecord record;
+    std::string name;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t shared = r.varint();
+        if (shared > name.size())
+            r.fail("name prefix longer than the previous name");
+        name.resize(shared);
+        name += r.lengthPrefixed();
+        const std::uint8_t kind = r.u8();
+        const std::uint64_t desc = r.varint();
+        if (desc >= descs.size())
+            r.fail("description index out of range");
+        const stats::SymId sym = symbols.intern(name);
+        if (kind == static_cast<std::uint8_t>(Metric::Kind::UInt))
+            record.setUInt(sym, descs[desc], 0);
+        else if (kind == static_cast<std::uint8_t>(Metric::Kind::Real))
+            record.setReal(sym, descs[desc], 0.0);
+        else
+            r.fail("unknown metric kind");
+    }
+    if (!r.done())
+        r.fail("trailing bytes");
+    if (record.size() != count)
+        r.fail("duplicate metric names");
+    return record;
+}
+
+/** The memoized schema encoded as @p bytes, decoded on first sight. */
+SchemaMemo::Ptr
+schemaFromBytes(std::string_view bytes)
+{
+    if (SchemaMemo::Ptr hit = SchemaMemo::global().find(bytes))
+        return hit;
+    auto schema = std::make_shared<ResultSchema>();
+    schema->proto = decodeSchema(bytes);
+    schema->bytes = std::string(bytes);
+    return SchemaMemo::global().insert(std::move(schema));
+}
+
+/** Serialize one record (see the file comment for the layout).
+ *  Counters travel as their value and reals as raw IEEE-754 bits, so
+ *  a replayed record renders byte-identically in every exporter. */
 std::string
 encodeEntry(std::uint64_t digest, const std::string &benchmark,
             const SimResults &results)
 {
-    std::ostringstream os;
-    os << "vpr-result v" << kResultCacheFormatVersion << "\n";
-    os << "digest=" << toHex16(digest) << "\n";
-    os << "benchmark=" << benchmark << "\n";
-    os << "metrics=" << results.metrics.size() << "\n";
-    for (const Metric &m : results.metrics.all()) {
-        VPR_ASSERT(m.name().find('\t') == std::string::npos &&
-                       m.desc().find('\t') == std::string::npos &&
-                       m.desc().find('\n') == std::string::npos,
-                   "metric unsafe for the result-cache encoding: '",
-                   m.name(), "'");
-        if (m.kind == Metric::Kind::UInt)
-            os << "U\t" << m.name() << "\t" << m.uval;
-        else
-            os << "R\t" << m.name() << "\t" << toHex16(bitsOf(m.rval));
-        os << "\t" << m.desc() << "\n";
-    }
-    return os.str();
+    const std::string schema = encodeSchema(results.metrics);
+    std::string out;
+    out.reserve(32 + benchmark.size() + schema.size() +
+                8 * results.metrics.size());
+    putVarint(out, kResultCacheFormatVersion);
+    putU64(out, digest);
+    putBytes(out, benchmark);
+    putBytes(out, schema);
+    for (const Metric &m : results.metrics.all())
+        putU64(out, m.kind == Metric::Kind::UInt ? m.uval : bitsOf(m.rval));
+    return out;
 }
 
 /** Invert encodeEntry; throws CkptError on any malformed or
  *  mismatching field. */
 SimResults
-decodeEntry(const std::string &payload, std::uint64_t expectDigest,
+decodeEntry(std::string_view payload, std::uint64_t expectDigest,
             const std::string &expectBenchmark)
 {
-    std::istringstream is(payload);
-    std::string line;
-    if (!std::getline(is, line) ||
-        line != "vpr-result v" +
-                    std::to_string(kResultCacheFormatVersion))
-        throw CkptError("result-cache entry: bad format line");
-    if (parseHex64(headerValue(is, "digest")) != expectDigest)
-        throw CkptError("result-cache entry: digest mismatch (entry "
-                        "for a different configuration)");
-    if (headerValue(is, "benchmark") != expectBenchmark)
-        throw CkptError("result-cache entry: benchmark mismatch");
-    std::uint64_t count = 0;
-    if (!parseParamU64(headerValue(is, "metrics"), count))
-        throw CkptError("result-cache entry: bad metric count");
+    EntryReader r(payload, "header");
+    if (r.varint() != kResultCacheFormatVersion)
+        r.fail("format version skew");
+    if (r.u64() != expectDigest)
+        r.fail("digest mismatch (entry for a different configuration)");
+    if (r.lengthPrefixed() != expectBenchmark)
+        r.fail("benchmark mismatch");
+    const SchemaMemo::Ptr schema = schemaFromBytes(r.lengthPrefixed());
 
+    const std::string_view values = r.rest();
+    if (values.size() != 8 * schema->proto.size())
+        throw CkptError("result-cache entry: values: " +
+                        std::to_string(values.size()) +
+                        " bytes for " +
+                        std::to_string(schema->proto.size()) +
+                        " metrics");
     SimResults out;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        if (!std::getline(is, line))
-            throw CkptError("result-cache entry: truncated metric "
-                            "list");
-        std::size_t t1 = line.find('\t');
-        std::size_t t2 =
-            t1 == std::string::npos ? t1 : line.find('\t', t1 + 1);
-        std::size_t t3 =
-            t2 == std::string::npos ? t2 : line.find('\t', t2 + 1);
-        if (line.size() < 2 || line[1] != '\t' ||
-            t3 == std::string::npos)
-            throw CkptError("result-cache entry: malformed metric "
-                            "line");
-        const std::string name = line.substr(t1 + 1, t2 - t1 - 1);
-        const std::string value = line.substr(t2 + 1, t3 - t2 - 1);
-        const std::string desc = line.substr(t3 + 1);
-        if (line[0] == 'U') {
-            std::uint64_t v = 0;
-            if (!parseParamU64(value, v))
-                throw CkptError("result-cache entry: bad counter "
-                                "value '" + value + "'");
-            out.metrics.setUInt(name, desc, v);
-        } else if (line[0] == 'R') {
-            out.metrics.setReal(name, desc, doubleOf(parseHex64(value)));
-        } else {
-            throw CkptError("result-cache entry: unknown metric kind");
-        }
+    out.metrics = schema->proto;
+    EntryReader v(values, "values");
+    for (const Metric &m : schema->proto.all()) {
+        if (m.kind == Metric::Kind::UInt)
+            out.metrics.setUInt(m.nameSym, m.descSym, v.u64());
+        else
+            out.metrics.setReal(m.nameSym, m.descSym, doubleOf(v.u64()));
     }
-    if (std::getline(is, line) && !line.empty())
-        throw CkptError("result-cache entry: trailing garbage");
-    if (out.metrics.size() != count)
-        throw CkptError("result-cache entry: duplicate metric names");
     return out;
 }
 
@@ -195,9 +397,12 @@ resultCacheDigest(const GridCell &cell)
     // a parameter.
     const std::string scale = "scale=" + scaleKeyText() + "\n";
     h = fnv1a(scale.data(), scale.size(), h);
+    // One "name=value\n" line per provenance entry, hashed in pieces.
     for (const auto &[name, value] : configProvenance(cell.config)) {
-        const std::string line = name + "=" + value + "\n";
-        h = fnv1a(line.data(), line.size(), h);
+        h = fnv1a(name.data(), name.size(), h);
+        h = fnv1a("=", 1, h);
+        h = fnv1a(value.data(), value.size(), h);
+        h = fnv1a("\n", 1, h);
     }
     h = fnv1a(cell.benchmark.data(), cell.benchmark.size(), h);
     return h;

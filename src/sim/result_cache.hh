@@ -12,12 +12,28 @@
  * checkpoint cache uses (sim/checkpoint.hh), applied to whole-cell
  * *results* rather than warm state.
  *
- * Entries are small VPRZ-wrapped text records (common/io/zio.hh, kind
- * "result"): metric kinds, names, descriptions and exact values (reals
- * as raw IEEE-754 bits, so a replayed record renders byte-identically
- * to a cold run in every exporter). Every load re-verifies container
- * checksum, digest and benchmark; any damage is a miss — the cell is
- * re-simulated and the file repaired, never a wrong row.
+ * Entries are small binary records in a VPRZ container (common/io/
+ * zio.hh, kind "result") whose checksum covers every byte. Format 2:
+ *
+ *   varint format version, u64 digest, varint length + benchmark
+ *   varint length + schema section:
+ *     varint description count, per description: varint length + text
+ *     varint metric count, per metric: varint length shared with the
+ *       previous name, varint length + rest of the name, u8 kind
+ *       (0 counter, 1 real), varint description index
+ *   one little-endian u64 per metric: counters as is, reals as raw
+ *   IEEE-754 bits (so a replayed record renders byte-identically to a
+ *   cold run in every exporter)
+ *
+ * A process keeps a small bounded, thread-safe memo of the schemas its
+ * loads have decoded, keyed by the schema bytes: after the first entry
+ * of a schema, a load interns nothing and only copies values. Every
+ * load re-verifies the container, the entry structure, digest and
+ * benchmark; any damage is corrupt + miss — the cell is re-simulated
+ * and the file repaired, never a wrong row. The format version is part
+ * of the digest, so entries of an older format are never opened: they
+ * are plain misses under a different file name, and cache_gc ages them
+ * out.
  *
  * The cache is wired into the parallel experiment engine: any grid run
  * — bench binaries, vpr_sim sweeps, and the vpr_simd daemon — with
@@ -42,7 +58,7 @@ namespace vpr
 
 /** Bump to invalidate every cached result at the name level (the
  *  digest covers it) when the entry format changes. */
-constexpr std::uint32_t kResultCacheFormatVersion = 1;
+constexpr std::uint32_t kResultCacheFormatVersion = 2;
 
 /**
  * Process-wide cache traffic counters (monotonic, thread-safe): the

@@ -129,8 +129,22 @@ cellConfigValues(const GridCell &cell)
     return out;
 }
 
+namespace
+{
+
+/** cellConfigValues of every cell, computed once per export. */
+std::vector<std::vector<std::string>>
+gridConfigValues(const std::vector<GridCell> &cells)
+{
+    std::vector<std::vector<std::string>> values;
+    values.reserve(cells.size());
+    for (const GridCell &cell : cells)
+        values.push_back(cellConfigValues(cell));
+    return values;
+}
+
 std::string
-gridConfigDigest(const std::vector<GridCell> &cells)
+configDigestOf(const std::vector<std::vector<std::string>> &values)
 {
     // FNV-1a over every cell's (benchmark, key, value) provenance
     // triples with separators, so reordered or truncated grids hash
@@ -144,12 +158,28 @@ gridConfigDigest(const std::vector<GridCell> &cells)
         h ^= 0xffu;
         h *= 1099511628211ull;
     };
-    for (const GridCell &cell : cells)
-        for (const std::string &v : cellConfigValues(cell))
+    for (const std::vector<std::string> &cell : values)
+        for (const std::string &v : cell)
             mix(v);
     std::ostringstream os;
     os << std::hex << std::setfill('0') << std::setw(16) << h;
     return os.str();
+}
+
+/** Append @p m's exact text to @p out without a temporary string. */
+void
+appendMetricText(std::string &out, const Metric &m)
+{
+    char buf[Metric::kMaxTextLen];
+    out.append(buf, m.writeText(buf));
+}
+
+} // namespace
+
+std::string
+gridConfigDigest(const std::vector<GridCell> &cells)
+{
+    return configDigestOf(gridConfigValues(cells));
 }
 
 void
@@ -160,10 +190,12 @@ writeResultsCsv(std::ostream &os, const std::string &figure,
                 const std::vector<SimResults> &results)
 {
     checkWriterArgs(indices, cells, results);
+    const std::vector<std::vector<std::string>> config =
+        gridConfigValues(cells);
 
     os << "# vpr-results v1 figure=" << figure << " cells="
        << cells.size() << " shard=" << shardText(shard) << " scale="
-       << scaleText() << " cfg=" << gridConfigDigest(cells) << "\n";
+       << scaleText() << " cfg=" << configDigestOf(config) << "\n";
 
     const std::vector<std::string> metricNames = metricSchema(results);
     const std::vector<std::string> &fixed = resultFixedColumns();
@@ -173,15 +205,20 @@ writeResultsCsv(std::ostream &os, const std::string &figure,
         os << "," << name;
     os << "\n";
 
+    std::string row;
     for (std::size_t k = 0; k < indices.size(); ++k) {
-        os << indices[k];
-        for (const std::string &v : cellConfigValues(cells[indices[k]])) {
+        row = std::to_string(indices[k]);
+        for (const std::string &v : config[indices[k]]) {
             checkCsvSafe(v);
-            os << "," << v;
+            row += ',';
+            row += v;
         }
-        for (const Metric &m : results[k].metrics.all())
-            os << "," << m.text();
-        os << "\n";
+        for (const Metric &m : results[k].metrics.all()) {
+            row += ',';
+            appendMetricText(row, m);
+        }
+        row += '\n';
+        os.write(row.data(), static_cast<std::streamsize>(row.size()));
     }
 }
 
@@ -193,6 +230,8 @@ writeResultsJson(std::ostream &os, const std::string &figure,
                  const std::vector<SimResults> &results)
 {
     checkWriterArgs(indices, cells, results);
+    const std::vector<std::vector<std::string>> configs =
+        gridConfigValues(cells);
 
     const std::vector<std::string> &fixed = resultFixedColumns();
     os << "{\n";
@@ -202,13 +241,13 @@ writeResultsJson(std::ostream &os, const std::string &figure,
     os << "  \"cells\": " << cells.size() << ",\n";
     os << "  \"shard\": \"" << shardText(shard) << "\",\n";
     os << "  \"scale\": " << scaleText() << ",\n";
-    os << "  \"config_digest\": \"" << gridConfigDigest(cells) << "\",\n";
+    os << "  \"config_digest\": \"" << configDigestOf(configs) << "\",\n";
     os << "  \"records\": [";
+    std::string text;
     for (std::size_t k = 0; k < indices.size(); ++k) {
         os << (k ? ",\n" : "\n");
         os << "    {\"cell\": " << indices[k] << ", \"config\": {";
-        const std::vector<std::string> config =
-            cellConfigValues(cells[indices[k]]);
+        const std::vector<std::string> &config = configs[indices[k]];
         for (std::size_t c = 0; c < config.size(); ++c) {
             // JSON nests the values under "config", so the dotted keys
             // drop the CSV header's "cfg." disambiguation prefix.
@@ -220,11 +259,14 @@ writeResultsJson(std::ostream &os, const std::string &figure,
         }
         os << "}, \"metrics\": {";
         const auto &metrics = results[k].metrics.all();
+        text.clear();
         for (std::size_t m = 0; m < metrics.size(); ++m) {
-            os << (m ? ", " : "")
-               << "\"" << jsonEscape(metrics[m].name()) << "\": "
-               << metrics[m].text();
+            text += m ? ", \"" : "\"";
+            text += jsonEscape(metrics[m].name());
+            text += "\": ";
+            appendMetricText(text, metrics[m]);
         }
+        os.write(text.data(), static_cast<std::streamsize>(text.size()));
         os << "}}";
     }
     os << "\n  ]\n}\n";

@@ -248,6 +248,65 @@ TEST(Vprz, CorruptionThrows)
     EXPECT_THROW(vprzUnpack("not a container at all", "ckpt"), CkptError);
 }
 
+/** Offset of the u64 raw-size field in a container of @p kind. */
+std::size_t
+rawSizeOffset(const std::string &kind)
+{
+    return 4 + 1 + 1 + 2 + kind.size();  // magic, version, codec, kind
+}
+
+TEST(Vprz, DamagedSizeFieldsThrowBeforeAllocating)
+{
+    std::string payload;
+    for (int i = 0; i < 200; ++i)
+        payload += "line " + std::to_string(i) + "\n";
+    for (bool compress : {true, false}) {
+        const std::string packed = vprzPack(payload, "ckpt", compress);
+        const std::size_t raw = rawSizeOffset("ckpt");
+        // A flipped high byte declares a raw size of ~2^62: refused by
+        // the deflate ratio bound (or the stored-size check), never
+        // allocated.
+        std::string bigRaw = packed;
+        bigRaw[raw + 7] ^= 0x40;
+        EXPECT_THROW(vprzUnpack(bigRaw, "ckpt"), CkptError) << compress;
+        // A stored size near 2^64 must not wrap the bounds check.
+        std::string bigStored = packed;
+        for (int i = 0; i < 8; ++i)
+            bigStored[raw + 8 + i] = static_cast<char>(0xff);
+        EXPECT_THROW(vprzUnpack(bigStored, "ckpt"), CkptError) << compress;
+        // Any other raw size is caught by the inflate or the checksum.
+        for (int delta : {-1, 1}) {
+            std::string off = packed;
+            off[raw] = static_cast<char>(off[raw] + delta);
+            EXPECT_THROW(vprzUnpack(off, "ckpt"), CkptError) << compress;
+        }
+    }
+}
+
+TEST(Vprz, ReadFileBytesReadsWholeFilesAndRejectsDirectories)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir()) / "vpr_read_bytes";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::string data;
+    for (int i = 0; i < 100000; ++i)
+        data.push_back(static_cast<char>(i * 7));
+    const std::string path = (dir / "blob").string();
+    ASSERT_TRUE(writeFileAtomic(path, data));
+    std::string got = "stale";
+    ASSERT_TRUE(readFileBytes(path, got));
+    EXPECT_EQ(got, data);
+
+    ASSERT_TRUE(writeFileAtomic(path, ""));
+    ASSERT_TRUE(readFileBytes(path, got));
+    EXPECT_TRUE(got.empty());
+
+    EXPECT_FALSE(readFileBytes((dir / "missing").string(), got));
+    EXPECT_FALSE(readFileBytes(dir.string(), got));  // a directory
+    fs::remove_all(dir);
+}
+
 TEST(Vprz, FormatDetection)
 {
     EXPECT_EQ(guessFormat("cell,benchmark\n0,go\n"), FileFormat::Plain);

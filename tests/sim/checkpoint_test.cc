@@ -287,6 +287,11 @@ TEST(Checkpoint, DamagedCacheFilesFallBackToColdByteIdentically)
     const std::string unpacked = vprzUnpack(good, "ckpt");
     std::string versionSkew = unpacked;
     versionSkew[8] ^= 0x40;  // version word after the 8-byte magic
+    // The container's raw-size field (after magic, version, codec and
+    // the kind): a flipped high byte declares ~2^62 bytes.
+    ASSERT_EQ(guessFormat(good), FileFormat::Vprz);
+    std::string hugeRawSize = good;
+    hugeRawSize[4 + 1 + 1 + 2 + std::string("ckpt").size() + 7] ^= 0x40;
     const Damage damages[] = {
         {"wrong magic", "not a checkpoint at all"},
         {"truncated container", good.substr(0, good.size() / 2)},
@@ -296,6 +301,7 @@ TEST(Checkpoint, DamagedCacheFilesFallBackToColdByteIdentically)
          packCheckpoint(CkptScope::Full, 0xdeadbeefull, "bogus state")},
         {"scope mismatch",
          packCheckpoint(CkptScope::Functional, 0xdeadbeefull, "bogus")},
+        {"container raw size", hugeRawSize},
     };
     for (const Damage &d : damages) {
         SimConfig c = quick();

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iomanip>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <string>
+
 #include "common/stats.hh"
 #include "sim/metrics.hh"
 
@@ -120,6 +127,52 @@ TEST(Metric, TextRoundTripsExactly)
 
     r.rval = 3.0;  // integral-valued real prints without a decimal point
     EXPECT_EQ(r.text(), "3");
+}
+
+/** The iostream rendering exported records used before text() moved to
+ *  std::to_chars: every record must keep its bytes. */
+std::string
+streamText(double v)
+{
+    std::ostringstream os;
+    os << std::setprecision(17) << v;
+    return os.str();
+}
+
+TEST(Metric, RealTextMatchesTheStreamFormatting)
+{
+    using limits = std::numeric_limits<double>;
+    auto &tab = stats::SymbolTable::global();
+    Metric r{tab.intern("r"), tab.intern(""), Metric::Kind::Real, 0, 0.0};
+    auto check = [&r](double v) {
+        r.rval = v;
+        char buf[Metric::kMaxTextLen];
+        const std::size_t n = r.writeText(buf);
+        EXPECT_EQ(r.text(), streamText(v)) << std::hexfloat << v;
+        EXPECT_EQ(std::string(buf, n), r.text());
+    };
+    const double special[] = {
+        0.0, -0.0, limits::denorm_min(), -limits::denorm_min(),
+        limits::min() / 3, limits::min(), limits::max(), -limits::max(),
+        limits::infinity(), -limits::infinity(), limits::quiet_NaN(),
+        -limits::quiet_NaN(), 1e308, -1e308, 1e-308, 3.0, -7.0, 1e15,
+        1e16, 1e17, 9007199254740992.0, 123456789012345678.0, 0.1, 1.0 / 3,
+        2.5e-5, 1e21, 1e22};
+    for (double v : special)
+        check(v);
+    // Random bit patterns cover every exponent, denormals and NaN
+    // payloads included.
+    std::mt19937_64 rng(12345);
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t bits = rng();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        check(v);
+    }
+    // Counters print in full.
+    Metric u{tab.intern("u"), tab.intern(""), Metric::Kind::UInt,
+             std::numeric_limits<std::uint64_t>::max(), 0.0};
+    EXPECT_EQ(u.text(), "18446744073709551615");
 }
 
 } // namespace

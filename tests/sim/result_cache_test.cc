@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "common/io/zio.hh"
 #include "common/state.hh"
 #include "sim/experiment.hh"
+#include "sim/params.hh"
 #include "sim/result_cache.hh"
 #include "sim/results_io.hh"
 #include "sim/sweep.hh"
@@ -194,8 +196,11 @@ TEST(ResultCache, CorruptEntriesFallBackAndRepair)
     const std::string dir = freshDir("corrupt");
     SimConfig config = quick();
     config.resultCache.dir = dir;
-    const std::vector<GridCell> cells = testGrid(config);
-    const std::string reference = renderCsv(cells, runGrid(cells, 1));
+    const std::vector<GridCell> cells = buildSweepGrid(
+        {"compress", "go"}, config,
+        {SweepAxis{"core.rename.regfile_size", {"48", "64", "96"}}});
+    const std::vector<SimResults> cold = runGrid(cells, 1);
+    const std::string reference = renderCsv(cells, cold);
     ASSERT_EQ(countEntries(dir), cells.size());
 
     // Damage every entry a different way: truncation, garbage, and a
@@ -213,17 +218,159 @@ TEST(ResultCache, CorruptEntriesFallBackAndRepair)
     bytes[bytes.size() - 3] ^= 0x20;
     ASSERT_TRUE(writeFileAtomic(paths[2], bytes));
 
+    // A byte dropped inside the schema section (a description's text),
+    // re-packed under a valid checksum: the entry's own structure must
+    // reject it.
+    ASSERT_TRUE(readFileBytes(paths[3], bytes));
+    std::string payload = vprzUnpack(bytes, "result");
+    const std::string desc = cold[3].metrics.all().front().desc();
+    ASSERT_FALSE(desc.empty());
+    const std::size_t at = payload.find(desc);
+    ASSERT_NE(at, std::string::npos);
+    payload.erase(at + desc.size() / 2, 1);
+    ASSERT_TRUE(writeFileAtomic(paths[3], vprzPack(payload, "result")));
+
+    // A flipped byte inside the value section (the payload's tail) under
+    // the original checksum: bit rot only the checksum can see.
+    ASSERT_TRUE(readFileBytes(paths[4], bytes));
+    payload = vprzUnpack(bytes, "result");
+    payload[payload.size() - 4] ^= 0x01;
+    std::string rotten = vprzPack(payload, "result");
+    rotten.replace(rotten.size() - 8, 8, bytes.substr(bytes.size() - 8));
+    ASSERT_TRUE(writeFileAtomic(paths[4], rotten));
+
+    // A flipped high byte of the container's raw-size field: must be a
+    // miss, not an allocation of ~2^62 bytes.
+    ASSERT_TRUE(readFileBytes(paths[5], bytes));
+    bytes[4 + 1 + 1 + 2 + std::string("result").size() + 7] ^= 0x40;
+    ASSERT_TRUE(writeFileAtomic(paths[5], bytes));
+
     // The damaged entries cost a re-simulation, never a wrong row, and
     // the re-save repairs them in place.
     const CounterSnap before = CounterSnap::now();
     EXPECT_EQ(renderCsv(cells, runGrid(cells, 1)), reference);
     EXPECT_EQ(CounterSnap::now().corrupt, before.corrupt + cells.size());
+    EXPECT_EQ(CounterSnap::now().misses, before.misses + cells.size());
     EXPECT_EQ(CounterSnap::now().stores, before.stores + cells.size());
 
     const CounterSnap after = CounterSnap::now();
     EXPECT_EQ(renderCsv(cells, runGrid(cells, 1)), reference);
     EXPECT_EQ(CounterSnap::now().hits, after.hits + cells.size());
     EXPECT_EQ(CounterSnap::now().corrupt, after.corrupt);
+}
+
+TEST(ResultCache, AllSchemesDetailedAndSampledReplayByteIdentically)
+{
+    // Detailed and sampled records have different metric schemas; both
+    // kinds share one directory and, at four workers, are decoded
+    // concurrently through the process-wide schema memo.
+    const std::string dir = freshDir("schemes");
+    std::vector<GridCell> cells;
+    for (RenameScheme scheme :
+         {RenameScheme::Conventional, RenameScheme::ConventionalEarlyRelease,
+          RenameScheme::VPAllocAtWriteback, RenameScheme::VPAllocAtIssue})
+        for (bool sampled : {false, true}) {
+            SimConfig c = quick();
+            c.setScheme(scheme);
+            c.sampling.enable = sampled;
+            c.sampling.periodInsts = 5000;
+            c.sampling.warmupInsts = 500;
+            c.sampling.detailedInsts = 1000;
+            cells.push_back(GridCell{"compress", c});
+        }
+    // One CSV per schema (the writer requires a shared schema).
+    auto render = [&cells](const std::vector<SimResults> &results) {
+        std::vector<std::string> csv;
+        for (bool sampled : {false, true}) {
+            std::vector<GridCell> part;
+            std::vector<SimResults> partResults;
+            for (std::size_t i = 0; i < cells.size(); ++i)
+                if (cells[i].config.sampling.enable == sampled) {
+                    part.push_back(cells[i]);
+                    partResults.push_back(results[i]);
+                }
+            csv.push_back(renderCsv(part, partResults));
+        }
+        return csv;
+    };
+
+    const std::vector<SimResults> plain = runGrid(cells, 1);
+    ASSERT_FALSE(plain[0].metrics.sameSchema(plain[1].metrics))
+        << "detailed and sampled records should differ in schema";
+    const std::vector<std::string> reference = render(plain);
+
+    for (GridCell &cell : cells)
+        cell.config.resultCache.dir = dir;
+    EXPECT_EQ(render(runGrid(cells, 4)), reference);
+    ASSERT_EQ(countEntries(dir), cells.size());
+    for (unsigned jobs : {1u, 4u}) {
+        const CounterSnap warm = CounterSnap::now();
+        EXPECT_EQ(render(runGrid(cells, jobs)), reference)
+            << "jobs=" << jobs;
+        EXPECT_EQ(CounterSnap::now().hits, warm.hits + cells.size());
+        EXPECT_EQ(CounterSnap::now().misses, warm.misses);
+    }
+}
+
+/** resultCacheDigest's recipe with the format version as a parameter:
+ *  the key a format-@p version build filed @p cell under. */
+std::uint64_t
+digestAtVersion(const GridCell &cell, std::uint64_t version)
+{
+    std::uint64_t h = fnv1a("result", 6);
+    h = fnv1a(&version, sizeof(version), h);
+    std::ostringstream scale;
+    scale.precision(17);
+    scale << instructionScale();
+    const std::string scaleLine = "scale=" + scale.str() + "\n";
+    h = fnv1a(scaleLine.data(), scaleLine.size(), h);
+    for (const auto &[name, value] : configProvenance(cell.config)) {
+        const std::string line = name + "=" + value + "\n";
+        h = fnv1a(line.data(), line.size(), h);
+    }
+    return fnv1a(cell.benchmark.data(), cell.benchmark.size(), h);
+}
+
+TEST(ResultCache, LeftoverVersion1EntryIsAPlainMiss)
+{
+    const std::string dir = freshDir("v1");
+    SimConfig config = quick();
+    config.resultCache.dir = dir;
+    const GridCell cell{"go", config};
+    ASSERT_EQ(digestAtVersion(cell, kResultCacheFormatVersion),
+              resultCacheDigest(cell));
+
+    // A text entry as format 1 wrote it, under its format-1 key.
+    const std::uint64_t v1 = digestAtVersion(cell, 1);
+    ASSERT_NE(v1, resultCacheDigest(cell));
+    std::ostringstream hex;
+    hex << std::hex << std::setw(16) << std::setfill('0') << v1;
+    const std::string v1Entry = vprzPack(
+        "vpr-result v1\ndigest=" + hex.str() +
+            "\nbenchmark=go\nmetrics=1\nU\tcore.cycles\t5\tcycles\n",
+        "result");
+    const std::string v1Path = resultCachePath(dir, "go", v1);
+    ASSERT_TRUE(writeFileAtomic(v1Path, v1Entry));
+
+    // The format version is in the digest, so the current build never
+    // opens it: a plain miss, not a corrupt entry. It stays a cache
+    // file for cache_gc to age out.
+    CounterSnap before = CounterSnap::now();
+    SimResults out;
+    EXPECT_FALSE(loadCachedResult(dir, cell, out));
+    EXPECT_EQ(CounterSnap::now().misses, before.misses + 1);
+    EXPECT_EQ(CounterSnap::now().corrupt, before.corrupt);
+    EXPECT_TRUE(fs::exists(v1Path));
+    const std::vector<CacheFileInfo> files = listCacheFiles({dir});
+    ASSERT_EQ(files.size(), 1u);
+    EXPECT_EQ(files[0].path, v1Path);
+
+    // The same bytes at the current key are refused as corrupt.
+    ASSERT_TRUE(writeFileAtomic(
+        resultCachePath(dir, "go", resultCacheDigest(cell)), v1Entry));
+    before = CounterSnap::now();
+    EXPECT_FALSE(loadCachedResult(dir, cell, out));
+    EXPECT_EQ(CounterSnap::now().corrupt, before.corrupt + 1);
 }
 
 TEST(ResultCache, WrongDigestEntryIsRejected)
