@@ -148,8 +148,9 @@ parseArgs(int argc, char **argv)
                 "  --result-cache serves whole grid cells computed by "
                 "any earlier run\n"
                 "  from disk (= --set sim.result_cache.dir=<dir>; see "
-                "README \"Sweep\n"
-                "  service\").\n"
+                "README \"Result\n"
+                "  cache\") and prints its hit/miss counts to stderr "
+                "at exit.\n"
                 "  --set overrides one config parameter by dotted name "
                 "(repeatable;\n"
                 "  run vpr_sim --help-params for the list). --config "

@@ -4,7 +4,10 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <string_view>
 
 #include <sys/stat.h>
@@ -15,6 +18,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/logging.hh"
 #include "common/state.hh"
 
 #ifdef VPR_HAVE_ZLIB
@@ -299,6 +303,27 @@ writeFileAtomic(const std::string &path, const std::string &data)
         return false;
     }
     return true;
+}
+
+bool
+writeStoreEntry(const char *store, const std::string &dir,
+                const std::string &path, const std::string &data)
+{
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);  // the write reports
+    if (writeFileAtomic(path, data))
+        return true;
+    static std::mutex mu;
+    static std::set<std::string> warned;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!warned.insert(store).second)
+            return false;
+    }
+    VPR_WARN("cannot write ", store, " '", path,
+             "'; continuing without saving (further ", store,
+             " write failures in this process are not reported)");
+    return false;
 }
 
 } // namespace vpr

@@ -64,6 +64,17 @@ bool readFileBytes(const std::string &path, std::string &out);
  *  same checkpoint never expose a partial file. False on I/O failure. */
 bool writeFileAtomic(const std::string &path, const std::string &data);
 
+/**
+ * Publish one entry of an on-disk store (the checkpoint store, the
+ * result cache): create @p dir if it is missing, then write @p data to
+ * @p path atomically. Both are best effort. A failed write is reported
+ * once per process per @p store name, since every cell of a grid would
+ * otherwise print the same line. Thread-safe.
+ * @return true when the entry was written.
+ */
+bool writeStoreEntry(const char *store, const std::string &dir,
+                     const std::string &path, const std::string &data);
+
 } // namespace vpr
 
 #endif // VPR_COMMON_IO_ZIO_HH

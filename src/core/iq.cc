@@ -8,8 +8,6 @@ namespace vpr
 void
 InstQueue::addWaiters(DynInst *inst)
 {
-    if (scanWakeup)
-        return;
     for (std::size_t i = 0; i < kMaxSrcRegs; ++i) {
         const SrcOperand &s = inst->src[i];
         if (!s.valid || s.ready)
@@ -62,36 +60,14 @@ unsigned
 InstQueue::wakeup(RegClass cls, std::uint16_t tag, std::uint16_t physReg)
 {
     ++broadcasts;
-    unsigned nWoken = 0;
-
-    if (scanWakeup) {
-        // Reference path: scan every queue entry for matching sources.
-        forEachEntry([&](DynInst *inst) {
-            bool touched = false;
-            for (auto &s : inst->src) {
-                if (s.valid && !s.ready && s.cls == cls && s.tag == tag) {
-                    s.tag = physReg;
-                    s.ready = true;
-                    touched = true;
-                    ++nWoken;
-                }
-            }
-            if (touched)
-                maybePublishReady(inst);
-        });
-        woken += nWoken;
-        return nWoken;
-    }
-
     auto &lists = waitLists[classIdx(cls)];
-    if (tag >= lists.size()) {
+    if (tag >= lists.size())
         return 0;
-    }
     // Consume the tag's wait list: every valid waiter wakes; stale
     // entries (instruction issued, squashed, or its slot reused — the
     // seq/residency check catches all three) are simply dropped. A tag
     // is broadcast at most once per allocation, so the list drains
-    // exactly when the old scan would have found its waiters. The
+    // exactly when a full-queue scan would have found its waiters. The
     // staleness check reads only the packed hot arrays via the recorded
     // slot; a stale waiter never touches its DynInst.
     // Copy the tag's list into a persistent scratch buffer and clear
@@ -105,6 +81,7 @@ InstQueue::wakeup(RegClass cls, std::uint16_t tag, std::uint16_t physReg)
     // (pinned per cycle by the hot-loop allocation tests).
     wakeScratch.assign(lists[tag].begin(), lists[tag].end());
     lists[tag].clear();
+    unsigned nWoken = 0;
     for (const Waiter &w : wakeScratch) {
         if (!hot.live(w.slot, w.seq) || !hot.isInIq(w.slot))
             continue;

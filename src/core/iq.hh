@@ -15,18 +15,17 @@
  * already age-ordered, so no second sorted container is kept: insert
  * and remove are O(1), and branch recovery clears membership in the
  * ROB-tail walk PipelineState::squashYoungerThan already does. The
- * rare walks that need every entry in age order (the legacy scans,
- * tests) go over the ROB and skip entries without the flag.
+ * rare walks that need every entry in age order (clear(), tests) go
+ * over the ROB and skip entries without the flag.
  *
  * Wakeup is implemented with per-(class, tag) wait lists: a source that
  * enters the queue unready is recorded under its tag, and a broadcast
  * touches exactly the recorded waiters instead of scanning the whole
  * queue. Waiters that left the queue in the meantime (issue, squash)
  * are detected lazily via their sequence number and residency flag —
- * the same stale-entry idiom the CompletionQueue uses. The original
- * full-queue scan is kept behind setScanWakeup() as a reference
- * implementation; a determinism test asserts both paths produce
- * byte-identical results.
+ * the same stale-entry idiom the CompletionQueue uses. The unit tests
+ * keep a full-queue scan as a reference model and fuzz the wait lists
+ * against it.
  *
  * Selection is event-driven the same way: the queue *publishes* an
  * instruction onto its ready list at the exact moment its last
@@ -88,8 +87,8 @@ class InstQueue
     /**
      * Call @p visit(DynInst *) on every member, oldest first: a walk of
      * the age-ordered ROB that skips entries without the inIq flag.
-     * @p visit may remove the entry it is given. For the legacy scans
-     * and tests only; nothing on the event-driven path walks the queue.
+     * @p visit may remove the entry it is given. For clear() and tests
+     * only; nothing on the event-driven path walks the queue.
      */
     template <typename Visit>
     void
@@ -113,17 +112,6 @@ class InstQueue
      *  cells). Call it before the ROB is cleared: the walk that drops
      *  the membership flags goes over the ROB. */
     void clear();
-
-    /** Use the legacy full-queue wakeup scan instead of the wait lists
-     *  (reference path for the determinism test). Must be selected
-     *  before the first insert. */
-    void setScanWakeup(bool scan) { scanWakeup = scan; }
-
-    /** Publish ready instructions for the event-driven issue stage
-     *  (off when the legacy issue scan is selected, so the unconsumed
-     *  ready list cannot grow without bound). Must be selected before
-     *  the first insert. */
-    void setTrackReady(bool track) { trackReady = track; }
 
     /**
      * Move this cycle's newly published ready instructions into
@@ -169,7 +157,7 @@ class InstQueue
     void
     maybePublishReady(DynInst *inst)
     {
-        if (!trackReady || inst->inReadyQ() || !inst->issueOperandsReady())
+        if (inst->inReadyQ() || !inst->issueOperandsReady())
             return;
         inst->setInReadyQ(true);
         readyEvents.push_back(inst->ref());
@@ -188,8 +176,6 @@ class InstQueue
      *  while they are processed (the tag's own buffer is cleared, not
      *  swapped away, so its capacity stays with the tag). */
     std::vector<Waiter> wakeScratch;
-    bool scanWakeup = false;
-    bool trackReady = true;
 
     stats::StatGroup group{"iq"};
     stats::Distribution occupancy;

@@ -26,7 +26,6 @@ opClassRows()
 IssueStage::IssueStage(PipelineState &state,
                        CompletionQueue &completionQueue)
     : s(state), completions(completionQueue),
-      scanIssue(state.cfg.iqScanIssue),
       byClass("issued_by_class",
               "issues per op class, split first execution vs re-execution",
               opClassRows(), {"first", "reexec"})
@@ -66,9 +65,9 @@ IssueStage::tryIssueOne(DynInst *inst)
     const bool reExecution = inst->executions > 0;
 
     // Memory disambiguation (PA-8000 style) for loads. Hold statistics
-    // count episodes (transitions into a blocking state), so the
-    // event-driven path — which re-attempts a held load only when its
-    // blocker resolves — and the legacy every-cycle scan agree.
+    // count episodes (transitions into a blocking state), so a load
+    // re-attempted only when its blocker resolves counts the same as
+    // one re-checked every cycle.
     LoadHold hold = LoadHold::Ready;
     if (inst->isLoad() && !reExecution) {
         LoadCheck chk = s.lsq.disambiguate(inst, now);
@@ -193,34 +192,6 @@ IssueStage::tryIssueOne(DynInst *inst)
 }
 
 void
-IssueStage::scanTick()
-{
-    // Reference path: oldest-first selection over every IQ member — a
-    // walk of the age-ordered ROB that skips entries without the inIq
-    // flag. Issue only clears the flag (nothing is inserted, squashed
-    // or moved in the ROB from inside tryIssueOne), so the walk visits
-    // every remaining member exactly once. Two passes: first executions
-    // have priority; re-executions fill the remaining slots ("resources
-    // that otherwise would be unused", paper §4.2.1).
-    unsigned nIssued = 0;
-    for (int pass = 0; pass < 2 && nIssued < s.cfg.issueWidth; ++pass) {
-        for (std::size_t i = 0;
-             i < s.rob.size() && nIssued < s.cfg.issueWidth; ++i) {
-            if (!s.hot.isInIq(s.rob.slotAt(i)))
-                continue;
-            DynInst *inst = &s.rob.at(i);
-            if ((inst->executions > 0) != (pass == 1) ||
-                inst->phase() != InstPhase::Renamed)
-                continue;
-            if (tryIssueOne(inst).outcome == Outcome::Issued) {
-                s.iq.remove(inst);
-                ++nIssued;
-            }
-        }
-    }
-}
-
-void
 IssueStage::mergeRegisterWaits()
 {
     for (std::size_t c = 0; c < kNumRegClasses; ++c) {
@@ -246,18 +217,13 @@ IssueStage::mergeRegisterWaits()
 void
 IssueStage::tick()
 {
-    if (scanIssue) {
-        scanTick();
-        return;
-    }
-
     const Cycle now = s.curCycle;
 
     // Merge this cycle's candidates: newly published ready
     // instructions, last cycle's per-cycle-resource failures, FU-stall
     // lists whose unit class has capacity again (availability only
     // shrinks within a tick, so a class gated here would fail every
-    // scan attempt this cycle too), register waits whose gate opened,
+    // attempt this cycle too), register waits whose gate opened,
     // and released LSQ holds.
     cand.clear();
     s.iq.drainReadyEvents(cand);
@@ -278,9 +244,11 @@ IssueStage::tick()
                   return a.seq < b.seq;
               });
 
-    // Oldest-first over the candidates, same two-pass priority as the
-    // scan. Failures are re-parked by reason; entries the width cutoff
-    // left unattempted stay ready for next cycle.
+    // Oldest-first over the candidates, in two passes: first
+    // executions have priority; re-executions fill the remaining slots
+    // ("resources that otherwise would be unused", paper §4.2.1).
+    // Failures are re-parked by reason; entries the width cutoff left
+    // unattempted stay ready for next cycle.
     unsigned nIssued = 0;
     for (int pass = 0; pass < 2 && nIssued < s.cfg.issueWidth; ++pass) {
         for (ReadyRef &e : cand) {

@@ -14,13 +14,12 @@
  * candidates by age and attempts them oldest first — the whole
  * instruction queue is never walked. Entries that fail a structural
  * check are re-parked on the matching list; holds park inside the LSQ
- * until the blocking store resolves. The legacy full-queue scan
- * survives behind CoreConfig::iqScanIssue (core.iq.scan_issue) and is
- * byte-identical, as the determinism test asserts.
+ * until the blocking store resolves. The schedule is the one an
+ * oldest-first walk over every queue entry would produce.
  *
  * Parking is exact because a failed attempt has no side effects: an
- * entry left out of a cycle's candidates is one the scan would have
- * attempted and failed. A register-wait entry is re-tested only when
+ * entry left out of a cycle's candidates is one a full-queue walk
+ * would have attempted and failed. A register-wait entry is re-tested only when
  * RenameManager::issueGateEpoch says its class's gate inputs moved,
  * and merged only if RenameManager::issueGateOpen passes; within one
  * issue tick the gate can only close (each allocation takes a free
@@ -92,12 +91,9 @@ class IssueStage : public Stage
         const DynInst *blocker = nullptr;
     };
 
-    /** Try to issue one instruction (all structural checks in scan
-     *  order); commits the side effects only when it issues. */
+    /** Try to issue one instruction (all structural checks in order);
+     *  commits the side effects only when it issues. */
     Attempt tryIssueOne(DynInst *inst);
-
-    /** The legacy full-queue oldest-first walk (reference path). */
-    void scanTick();
 
     /** Append the register-wait entries of every class whose gate
      *  inputs moved since the last tick and whose gate now passes. */
@@ -105,21 +101,20 @@ class IssueStage : public Stage
 
     PipelineState &s;
     CompletionQueue &completions;
-    bool scanIssue;
 
     /** This cycle's merged, age-sorted candidates (member to reuse the
      *  allocation across cycles). */
     std::vector<ReadyRef> cand;
     /** Ready entries that failed a per-cycle resource; retried next
-     *  cycle, exactly when the scan would retry them. */
+     *  cycle, exactly when a full-queue walk would retry them. */
     std::vector<ReadyRef> retryQ;
     /** Ready entries stalled on a busy FU class; merged back the first
-     *  cycle a unit is available again (until then every scan attempt
-     *  would fail the same availability check). */
+     *  cycle a unit is available again (until then every attempt would
+     *  fail the same availability check). */
     std::array<std::vector<ReadyRef>, kNumFUTypes> fuStallQ;
     /** Ready entries the renamer's issue gate denied, per destination
      *  class (VP issue allocation). Until the class's gate epoch moves
-     *  every scan attempt would fail the same gate. */
+     *  every attempt would fail the same gate. */
     std::array<std::vector<ReadyRef>, kNumRegClasses> regWaitQ;
     /** Each class's gate epoch at the end of the last tick. */
     std::array<std::uint64_t, kNumRegClasses> regWaitEpoch{};

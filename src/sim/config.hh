@@ -82,7 +82,7 @@ struct CkptConfig
  * Content-addressed per-cell result cache (sim.result_cache.*). With a
  * cache directory set, the parallel experiment engine serves any grid
  * cell whose (benchmark, provenance, seed, scale) content digest has
- * been simulated before — by any binary or the vpr_simd daemon — from
+ * been simulated before — by any bench binary or vpr_sim sweep — from
  * disk, byte-identical to a cold run. All knobs are execution-only:
  * where results are cached must never change a result, so none of them
  * enter provenance or config dumps.

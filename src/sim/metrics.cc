@@ -48,19 +48,19 @@ MetricsRecord::slot(stats::SymId name, stats::SymId desc)
         cursor = 0;
     if (cursor < metrics.size() && metrics[cursor].nameSym == name)
         return metrics[cursor++];
-    auto it = index.find(name);
-    if (it != index.end()) {
-        cursor = it->second + 1;
-        return metrics[it->second];
+    if (name < position.size() && position[name] != 0) {
+        cursor = position[name];
+        return metrics[cursor - 1];
     }
     if (metrics.empty()) {
         // A record is almost always one full stats-tree walk; reserving
-        // for a paper-config-sized schema avoids the reallocation and
-        // rehash churn of growing through ~800 insertions.
+        // for a paper-config-sized schema avoids the reallocation churn
+        // of growing through ~800 insertions.
         metrics.reserve(1024);
-        index.reserve(1024);
     }
-    index.emplace(name, metrics.size());
+    if (name >= position.size())
+        position.resize(name + 1, 0);  // capacity grows geometrically
+    position[name] = static_cast<std::uint32_t>(metrics.size() + 1);
     metrics.push_back(Metric{name, desc, Metric::Kind::UInt, 0, 0.0});
     cursor = metrics.size();
     return metrics.back();
@@ -105,10 +105,9 @@ MetricsRecord::findMetric(const std::string &name) const
     // Read-only lookups must not grow the intern table: a name that
     // was never interned is by construction absent from every record.
     const stats::SymId id = stats::SymbolTable::global().find(name);
-    if (id == 0)
+    if (id == 0 || id >= position.size() || position[id] == 0)
         return nullptr;
-    auto it = index.find(id);
-    return it == index.end() ? nullptr : &metrics[it->second];
+    return &metrics[position[id] - 1];
 }
 
 bool

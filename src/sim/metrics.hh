@@ -13,8 +13,13 @@
  * Names and descriptions are stored as interned SymIds; a steady-state
  * revisit of an already-built record (sampled runs revisit one record
  * per measurement interval) touches no strings and — thanks to the
- * in-order cursor below — no hash tables either. Text comes back out
+ * in-order cursor below — no lookups either. Text comes back out
  * only through the name()/desc() accessors at serialization time.
+ *
+ * The name index is a flat position table indexed by SymId, so a
+ * lookup is one array read and copying a record (a result-cache hit
+ * hands one to every grid cell it serves) costs two allocations
+ * however many metrics it holds.
  */
 
 #ifndef VPR_SIM_METRICS_HH
@@ -23,7 +28,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
@@ -119,7 +123,10 @@ class MetricsRecord : public stats::StatVisitor
     const Metric *findMetric(const std::string &name) const;
 
     std::vector<Metric> metrics;
-    std::unordered_map<stats::SymId, std::size_t> index;
+    /** Position + 1 of each name's metric, indexed by its SymId; 0 (or
+     *  an id past the end) means absent. SymIds are dense, small
+     *  integers handed out by the process-wide symbol table. */
+    std::vector<std::uint32_t> position;
     /** Expected position of the next visited name. A revisit of the
      *  same stats tree arrives in schema order, so every lookup is one
      *  integer compare instead of a hash probe. */

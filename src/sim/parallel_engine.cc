@@ -49,7 +49,7 @@ runCell(const GridCell &cell)
 {
     // Content-addressed result cache: a cell whose (benchmark,
     // provenance, seed, scale) digest has been simulated before — by
-    // this run, an earlier batch run, or the vpr_simd daemon — is
+    // this run or an earlier one, by any binary — is
     // served from disk, byte-identical to a cold run. Cells with a
     // custom stream factory are never cached: their workload is not
     // covered by the provenance digest.

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -386,6 +387,16 @@ resultCacheCounters()
     return counters;
 }
 
+ResultCacheReport::~ResultCacheReport()
+{
+    if (!enabled)
+        return;
+    const ResultCacheCounters &c = resultCacheCounters();
+    std::cerr << "result cache: " << c.hits.load() << " hits, "
+              << c.misses.load() << " misses, " << c.corrupt.load()
+              << " corrupt, " << c.stores.load() << " stores\n";
+}
+
 std::uint64_t
 resultCacheDigest(const GridCell &cell)
 {
@@ -448,17 +459,11 @@ storeCachedResult(const std::string &dir, const GridCell &cell,
     const std::uint64_t digest = resultCacheDigest(cell);
     const std::string path =
         resultCachePath(dir, cell.benchmark, digest);
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);  // best effort
     const std::string entry =
         vprzPack(encodeEntry(digest, cell.benchmark, results), "result",
                  cell.config.resultCache.compress);
-    if (!writeFileAtomic(path, entry)) {
-        VPR_WARN("cannot write result-cache entry '", path,
-                 "' (results are unaffected)");
-        return;
-    }
-    resultCacheCounters().stores.fetch_add(1);
+    if (writeStoreEntry("result-cache entry", dir, path, entry))
+        resultCacheCounters().stores.fetch_add(1);
 }
 
 std::vector<CacheFileInfo>

@@ -36,8 +36,8 @@
  * out.
  *
  * The cache is wired into the parallel experiment engine: any grid run
- * — bench binaries, vpr_sim sweeps, and the vpr_simd daemon — with
- * sim.result_cache.dir set serves previously computed cells from disk.
+ * — bench binaries and vpr_sim sweeps — with sim.result_cache.dir set
+ * serves previously computed cells from disk.
  * Cells with a custom stream factory are never cached (their workload
  * is not covered by the provenance digest).
  */
@@ -62,8 +62,9 @@ constexpr std::uint32_t kResultCacheFormatVersion = 2;
 
 /**
  * Process-wide cache traffic counters (monotonic, thread-safe): the
- * engine's workers update them from any thread; the daemon's /status
- * page and the tests read them as before/after deltas.
+ * engine's workers update them from any thread; the batch binaries
+ * print them at exit (ResultCacheReport) and the tests read them as
+ * before/after deltas.
  */
 struct ResultCacheCounters
 {
@@ -74,6 +75,23 @@ struct ResultCacheCounters
 };
 
 ResultCacheCounters &resultCacheCounters();
+
+/** Prints the counters to stderr as one line, "result cache: H hits,
+ *  M misses, C corrupt, S stores", when it goes out of scope, if
+ *  constructed enabled. A batch binary holds one over its run, enabled
+ *  when sim.result_cache.dir is set; exits that skip destructors
+ *  (fatal errors) print nothing. */
+class ResultCacheReport
+{
+  public:
+    explicit ResultCacheReport(bool enabled) : enabled(enabled) {}
+    ResultCacheReport(const ResultCacheReport &) = delete;
+    ResultCacheReport &operator=(const ResultCacheReport &) = delete;
+    ~ResultCacheReport();
+
+  private:
+    bool enabled;
+};
 
 /** The content digest of @p cell: provenance subset + benchmark +
  *  instruction scale + format version. Stable across processes. */
@@ -101,8 +119,7 @@ void storeCachedResult(const std::string &dir, const GridCell &cell,
                        const SimResults &results);
 
 /** @name Cache directory garbage collection (LRU on file mtime)
- *  Shared by tools/cache_gc and the vpr_simd startup pass: enforce a
- *  byte budget over checkpoint (*.vprck) and result (*.vprr) cache
+ *  Used by tools/cache_gc: enforce a byte budget over checkpoint (*.vprck) and result (*.vprr) cache
  *  files, evicting least-recently-touched files first. @{ */
 
 /** One cache file considered by the collector. */
@@ -138,7 +155,7 @@ CacheGcPlan planCacheGc(const std::vector<std::string> &dirs,
 std::size_t applyCacheGc(const CacheGcPlan &plan);
 
 /** Human-readable plan listing (one line per eviction + a summary),
- *  shared by cache_gc --dry-run and the vpr_simd startup pass. */
+ *  printed by cache_gc. */
 void printCacheGcPlan(std::ostream &os, const CacheGcPlan &plan,
                       std::uint64_t budgetBytes, bool dryRun);
 

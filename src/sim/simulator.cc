@@ -1,7 +1,5 @@
 #include "sim/simulator.hh"
 
-#include <atomic>
-#include <filesystem>
 #include <iomanip>
 #include <iostream>
 
@@ -17,19 +15,6 @@ namespace vpr
 
 namespace
 {
-
-/** A checkpoint that cannot be written is reported once per process:
- *  every cell of a grid would otherwise print the same line. */
-void
-warnCheckpointUnwritable(const std::string &path)
-{
-    static std::atomic<bool> warned{false};
-    if (warned.exchange(true))
-        return;
-    std::cerr << "vpr: warning: cannot write checkpoint " << path
-              << "; continuing without saving (further checkpoint write"
-                 " failures in this process are not reported)\n";
-}
 
 /** Component salt for deriveSeed: the wrong-path synthesis RNG. */
 constexpr std::uint64_t kWrongPathSalt = 0x77f00dull;
@@ -157,14 +142,8 @@ Simulator::saveAndReloadCheckpoint(CkptScope scope)
     if (cfg.ckpt.save) {
         const std::string path =
             checkpointPath(cfg.ckpt.dir, benchName, scope, digest);
-        const std::string bytes =
-            vprzPack(raw, "ckpt", cfg.ckpt.compress);
-        // Best effort, as the result cache does: a missing directory is
-        // created on the first save; a failure shows in the write.
-        std::error_code ec;
-        std::filesystem::create_directories(cfg.ckpt.dir, ec);
-        if (!writeFileAtomic(path, bytes))
-            warnCheckpointUnwritable(path);
+        writeStoreEntry("checkpoint", cfg.ckpt.dir, path,
+                        vprzPack(raw, "ckpt", cfg.ckpt.compress));
     }
     // Measure from a constructed-then-loaded core even on the cold run,
     // so cold and restored measurements are byte-identical.

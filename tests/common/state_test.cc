@@ -330,8 +330,8 @@ TEST(Fnv, MatchesKnownVectorsAndSeeds)
 TEST(AtomicWrite, TwoConcurrentWritersNeverMixPayloads)
 {
     // Two writers hammering one path (shared-cache deployments: CI
-    // shards publishing the same content-addressed entry, or a daemon
-    // and a batch run racing). The tmp names are pid+counter-suffixed,
+    // shards publishing the same content-addressed entry, or two batch
+    // runs racing). The tmp names are pid+counter-suffixed,
     // so writes must never observe each other: every read of the final
     // file sees exactly one writer's payload, start to finish.
     namespace fs = std::filesystem;

@@ -1,15 +1,15 @@
 /**
  * @file
  * Unit tests for the issue→complete CompletionQueue: the cycle-indexed
- * calendar (timing wheel) against the legacy binary heap it replaced.
- * The two must agree event for event — the determinism test checks the
- * whole simulator; these tests pin the structure down in isolation,
- * including the paths a short run may never hit (bucket wrap-around,
- * beyond-horizon overflow, late drains that skip cycles).
+ * calendar (timing wheel) against a binary-heap reference model. The
+ * two must agree event for event; these tests pin the structure down
+ * in isolation, including the paths a short run may never hit (bucket
+ * wrap-around, beyond-horizon overflow, late drains that skip cycles).
  */
 
 #include <gtest/gtest.h>
 
+#include <queue>
 #include <random>
 #include <vector>
 
@@ -35,10 +35,62 @@ struct CqFixture
     DynInst inst;
 };
 
+/** Reference model: the completion events in a binary min-heap on
+ *  (when, seq), the order the calendar must pop them in. */
+class HeapQueue
+{
+  public:
+    void
+    schedule(Cycle when, InstSeqNum seq, DynInst *inst)
+    {
+        events.push({when, seq, inst, inst->slot});
+    }
+
+    bool
+    hasDue(Cycle now) const
+    {
+        return !events.empty() && events.top().when <= now;
+    }
+
+    CompletionEvent
+    popDue()
+    {
+        CompletionEvent ev = events.top();
+        events.pop();
+        return ev;
+    }
+
+    std::size_t pendingEvents() const { return events.size(); }
+
+    /** Linear search of a copy: the model favours obviousness. */
+    bool
+    pendingFor(InstSeqNum seq) const
+    {
+        for (Heap copy = events; !copy.empty(); copy.pop())
+            if (copy.top().seq == seq)
+                return true;
+        return false;
+    }
+
+  private:
+    struct Later
+    {
+        bool
+        operator()(const CompletionEvent &a, const CompletionEvent &b) const
+        {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
+    };
+    using Heap =
+        std::priority_queue<CompletionEvent, std::vector<CompletionEvent>,
+                            Later>;
+    Heap events;
+};
+
 TEST(CompletionQueue, PopsInWhenThenSeqOrder)
 {
     CqFixture f;
-    CompletionQueue cq(true, 16);
+    CompletionQueue cq(16);
     // Same cycle out of seq order, plus a later cycle scheduled first.
     cq.schedule(5, 30, &f.inst);
     cq.schedule(3, 20, &f.inst);
@@ -61,7 +113,7 @@ TEST(CompletionQueue, WrapsAroundTheRingManyTimes)
 {
     CqFixture f;
     // Horizon 4: every fourth cycle reuses a bucket.
-    CompletionQueue cq(true, 4);
+    CompletionQueue cq(4);
     InstSeqNum seq = 0;
     for (Cycle now = 0; now < 100; ++now) {
         cq.schedule(now + 3, ++seq, &f.inst);
@@ -82,7 +134,7 @@ TEST(CompletionQueue, WrapsAroundTheRingManyTimes)
 TEST(CompletionQueue, BeyondHorizonEventsOverflowAndMigrateBack)
 {
     CqFixture f;
-    CompletionQueue cq(true, 8);
+    CompletionQueue cq(8);
     // Far beyond the 8-cycle ring: an unpipelined FP divide, say.
     cq.schedule(70, 1, &f.inst);
     cq.schedule(75, 2, &f.inst);
@@ -106,7 +158,7 @@ TEST(CompletionQueue, BeyondHorizonEventsOverflowAndMigrateBack)
 TEST(CompletionQueue, LateDrainStillPopsInOrder)
 {
     CqFixture f;
-    CompletionQueue cq(true, 16);
+    CompletionQueue cq(16);
     cq.schedule(2, 1, &f.inst);
     cq.schedule(4, 2, &f.inst);
     cq.schedule(4, 3, &f.inst);
@@ -130,8 +182,8 @@ TEST(CompletionQueue, RandomizedCalendarMatchesHeap)
     // same-cycle completions, latencies past the horizon — and demand
     // the exact same pop sequence and pending count at every step.
     CqFixture f;
-    CompletionQueue cal(true, 64);
-    CompletionQueue heap(false);
+    CompletionQueue cal(64);
+    HeapQueue heap;
     std::mt19937 rng(0xc0ffee);
     auto below = [&rng](unsigned n) { return rng() % n; };
 
@@ -140,13 +192,19 @@ TEST(CompletionQueue, RandomizedCalendarMatchesHeap)
     for (int step = 0; step < 4000; ++step) {
         // Bursty arrivals: usually a few, sometimes none.
         unsigned arrivals = below(10) < 7 ? below(4) : 0;
+        // Each burst takes its sequence numbers youngest first. In the
+        // pipeline a bucket fills out of seq order (a younger
+        // instruction issued earlier with a longer latency completes in
+        // the same cycle as an older one issued later); this makes two
+        // same-cycle events of one burst arrive that way here too.
         for (unsigned i = 0; i < arrivals; ++i) {
             // 1..150 spans both in-ring and overflow latencies.
             Cycle when = now + 1 + below(150);
-            ++seq;
-            cal.schedule(when, seq, &f.inst);
-            heap.schedule(when, seq, &f.inst);
+            const InstSeqNum sn = seq + arrivals - i;
+            cal.schedule(when, sn, &f.inst);
+            heap.schedule(when, sn, &f.inst);
         }
+        seq += arrivals;
         ASSERT_EQ(cal.pendingEvents(), heap.pendingEvents());
 
         // Occasionally stall (skip draining) for a few cycles.
@@ -175,8 +233,8 @@ TEST(CompletionQueue, RandomizedCalendarMatchesHeap)
 TEST(CompletionQueue, PendingForAgreesBetweenCalendarAndHeap)
 {
     CqFixture f;
-    CompletionQueue cal(true, 8);
-    CompletionQueue heap(false);
+    CompletionQueue cal(8);
+    HeapQueue heap;
     std::mt19937 rng(42);
     InstSeqNum seq = 0;
     Cycle now = 0;
@@ -201,10 +259,9 @@ TEST(CompletionQueue, PendingForAgreesBetweenCalendarAndHeap)
 
 TEST(CompletionQueue, ParkedStoresSquashYoungerThan)
 {
-    // Parked stores are common code between the two mechanisms, but the
-    // squash filter is the recovery path — pin it down here.
+    // The squash filter is the recovery path — pin it down here.
     CqFixture f;
-    CompletionQueue cq(true, 16);
+    CompletionQueue cq(16);
     cq.parkStore(&f.inst, 5);
     cq.parkStore(&f.inst, 9);
     cq.parkStore(&f.inst, 12);

@@ -1,10 +1,10 @@
 /**
  * @file
- * Unit tests for the LSQ and PA-8000-style disambiguation: the
- * address-indexed store table and the legacy reverse scan are run
- * through the same cases (parameterized), plus table-only edge cases
+ * Unit tests for the LSQ and PA-8000-style disambiguation: behavioural
+ * cases of the address-indexed store table, its edge cases
  * (line-boundary overlaps, squash/commit cleanup), the hold
- * subscription machinery, and a randomized table-vs-scan fuzz.
+ * subscription machinery, and a randomized fuzz of the table against a
+ * reverse-scan reference model.
  */
 
 #include <gtest/gtest.h>
@@ -61,26 +61,19 @@ computeAddr(Lsq &lsq, DynInst &s, Cycle cycle)
     lsq.onStoreAddrComputed(&s);
 }
 
-/** Both disambiguation paths must pass every behavioural case. */
+/** The behavioural cases of the store table. The suite keeps its
+ *  parameterized form, with the table as its one instantiation, so the
+ *  case names (Paths/LsqPaths.<case>/table) stay stable. */
 class LsqPaths : public ::testing::TestWithParam<bool>
 {
-  protected:
-    void
-    configure(Lsq &lsq)
-    {
-        lsq.setScanDisambig(GetParam());
-    }
 };
 
-INSTANTIATE_TEST_SUITE_P(Paths, LsqPaths, ::testing::Values(false, true),
-                         [](const auto &info) {
-                             return info.param ? "scan" : "table";
-                         });
+INSTANTIATE_TEST_SUITE_P(Paths, LsqPaths, ::testing::Values(false),
+                         [](const auto &) { return "table"; });
 
 TEST_P(LsqPaths, LoadWithNoOlderStoresIsReady)
 {
     Lsq lsq(8);
-    configure(lsq);
     DynInst l = load(1, 0x100);
     lsq.insert(&l);
     EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::Ready);
@@ -89,7 +82,6 @@ TEST_P(LsqPaths, LoadWithNoOlderStoresIsReady)
 TEST_P(LsqPaths, LoadWaitsForUnknownStoreAddress)
 {
     Lsq lsq(8);
-    configure(lsq);
     DynInst s = store(1, 0x100);
     DynInst l = load(2, 0x200);
     lsq.insert(&s);
@@ -105,7 +97,6 @@ TEST_P(LsqPaths, LoadWaitsForUnknownStoreAddress)
 TEST_P(LsqPaths, MatchingStoreForwards)
 {
     Lsq lsq(8);
-    configure(lsq);
     DynInst s = store(1, 0x100);
     DynInst l = load(2, 0x100);
     lsq.insert(&s);
@@ -117,7 +108,6 @@ TEST_P(LsqPaths, MatchingStoreForwards)
 TEST_P(LsqPaths, ContainedAccessForwards)
 {
     Lsq lsq(8);
-    configure(lsq);
     DynInst s = store(1, 0x100, 8);
     DynInst l = load(2, 0x104, 4);  // inside the store's 8 bytes
     lsq.insert(&s);
@@ -129,7 +119,6 @@ TEST_P(LsqPaths, ContainedAccessForwards)
 TEST_P(LsqPaths, PartialOverlapHolds)
 {
     Lsq lsq(8);
-    configure(lsq);
     DynInst s = store(1, 0x104, 4);
     DynInst l = load(2, 0x100, 8);  // covers more than the store wrote
     lsq.insert(&s);
@@ -141,7 +130,6 @@ TEST_P(LsqPaths, PartialOverlapHolds)
 TEST_P(LsqPaths, NearestStoreWins)
 {
     Lsq lsq(8);
-    configure(lsq);
     DynInst s1 = store(1, 0x100);
     DynInst s2 = store(2, 0x100);
     DynInst l = load(3, 0x100);
@@ -160,7 +148,6 @@ TEST_P(LsqPaths, NearestStoreWins)
 TEST_P(LsqPaths, YoungerStoresDoNotAffectLoad)
 {
     Lsq lsq(8);
-    configure(lsq);
     DynInst l = load(1, 0x100);
     DynInst s = store(2, 0x100);
     lsq.insert(&l);
@@ -171,7 +158,6 @@ TEST_P(LsqPaths, YoungerStoresDoNotAffectLoad)
 TEST_P(LsqPaths, DisjointStoresIgnored)
 {
     Lsq lsq(8);
-    configure(lsq);
     DynInst s = store(1, 0x200);
     DynInst l = load(2, 0x100);
     lsq.insert(&s);
@@ -183,7 +169,6 @@ TEST_P(LsqPaths, DisjointStoresIgnored)
 TEST_P(LsqPaths, DecisiveStoreIsReported)
 {
     Lsq lsq(8);
-    configure(lsq);
     DynInst s1 = store(1, 0x100);
     DynInst s2 = store(2, 0x300);
     DynInst l = load(3, 0x100);
@@ -209,7 +194,6 @@ TEST_P(LsqPaths, PartialOverlapAcrossLineBoundary)
     // 0x100; the load lives in the second line only and overlaps the
     // store's tail without being contained.
     Lsq lsq(8);
-    configure(lsq);
     DynInst s = store(1, 0xFC, 8);  // [0xFC, 0x104)
     DynInst l = load(2, 0x100, 8);  // [0x100, 0x108)
     lsq.insert(&s);
@@ -223,7 +207,6 @@ TEST_P(LsqPaths, ForwardAcrossLineBoundary)
     // Both the store and the contained load straddle the boundary; the
     // load appears in two line buckets and must still resolve once.
     Lsq lsq(8);
-    configure(lsq);
     DynInst s = store(1, 0xFC, 8);  // [0xFC, 0x104)
     DynInst l = load(2, 0xFE, 4);   // [0xFE, 0x102) — contained
     lsq.insert(&s);
@@ -235,9 +218,8 @@ TEST_P(LsqPaths, ForwardAcrossLineBoundary)
 TEST_P(LsqPaths, AdjacentLinesDoNotFalseAlias)
 {
     // Same 16-byte line neighbourhood, no byte overlap: the line-granular
-    // table must not report a conflict the scan would not.
+    // table must not report a conflict a reverse scan would not.
     Lsq lsq(8);
-    configure(lsq);
     DynInst s = store(1, 0x100, 4);  // [0x100, 0x104)
     DynInst l = load(2, 0x104, 4);   // [0x104, 0x108): same line
     lsq.insert(&s);
@@ -252,7 +234,6 @@ TEST_P(LsqPaths, ForwardThenStoreSquashed)
     // A fresh load at the same address must not see the dead store
     // through a stale table entry.
     Lsq lsq(8);
-    configure(lsq);
     DynInst s = store(2, 0x100);
     DynInst l = load(3, 0x100);
     lsq.insert(&s);
@@ -271,7 +252,6 @@ TEST_P(LsqPaths, CommittedStoreClearsItsHold)
     // A partial-overlap hold clears the cycle the store leaves the
     // queue at commit.
     Lsq lsq(8);
-    configure(lsq);
     DynInst s = store(1, 0x104, 4);
     DynInst l = load(2, 0x100, 8);
     lsq.insert(&s);
@@ -285,7 +265,6 @@ TEST_P(LsqPaths, CommittedStoreClearsItsHold)
 TEST_P(LsqPaths, SquashDropsYoungest)
 {
     Lsq lsq(8);
-    configure(lsq);
     DynInst a = load(1, 0x100), b = store(5, 0x200), c = load(9, 0x300);
     lsq.insert(&a);
     lsq.insert(&b);
@@ -298,7 +277,6 @@ TEST_P(LsqPaths, SquashDropsYoungest)
 TEST_P(LsqPaths, RemoveAtCommit)
 {
     Lsq lsq(8);
-    configure(lsq);
     DynInst a = load(1, 0x100), b = load(2, 0x200);
     lsq.insert(&a);
     lsq.insert(&b);
@@ -441,16 +419,41 @@ TEST(LsqDeath, NonMemInsertPanics)
 
 // --- randomized table-vs-scan fuzz ----------------------------------------
 
+/**
+ * Reference model of Lsq::disambiguate(): walk the queue @p queue
+ * (oldest first) from youngest to oldest, so the *nearest* older store
+ * with an unknown or overlapping address decides.
+ */
+LoadCheck
+scanDisambiguate(const std::vector<DynInst *> &queue, const DynInst *load,
+                 Cycle now)
+{
+    for (std::size_t i = queue.size(); i-- > 0;) {
+        const DynInst *other = queue[i];
+        if (other->seq() >= load->seq() || !other->isStore())
+            continue;
+        if (!other->addrReady || other->addrReadyCycle > now)
+            return {LoadHold::UnknownAddress, other};
+        const Addr s = other->si.effAddr, l = load->si.effAddr;
+        const unsigned sSize = other->si.memSize, lSize = load->si.memSize;
+        if (!(s < l + lSize && l < s + sSize))
+            continue;
+        // A containing store forwards its data.
+        if (s <= l && s + sSize >= l + lSize)
+            return {LoadHold::Forward, other};
+        return {LoadHold::PartialOverlap, other};
+    }
+    return {LoadHold::Ready, nullptr};
+}
+
 TEST(LsqFuzz, TableMatchesScanOnRandomStimulus)
 {
-    // Drive a table-mode and a scan-mode LSQ with an identical
-    // pseudo-random stream of inserts, address computations, commits
-    // and squashes (sharing the DynInst pool — neither path mutates the
-    // instructions), and require every resident load to disambiguate
-    // identically, blocker included, at every step.
+    // Drive the LSQ with a pseudo-random stream of inserts, address
+    // computations, commits and squashes, mirrored in a plain vector,
+    // and require every resident load to disambiguate exactly as the
+    // reverse-scan reference model over that vector does, blocker
+    // included, at every step.
     Lsq table(64);
-    Lsq scan(64);
-    scan.setScanDisambig(true);
 
     std::vector<DynInst> pool;
     pool.reserve(4096);
@@ -480,7 +483,6 @@ TEST(LsqFuzz, TableMatchesScanOnRandomStimulus)
                                         : load(++seq, addr, size));
             DynInst *d = &pool.back();
             table.insert(d);
-            scan.insert(d);
             live.push_back(d);
             break;
           }
@@ -495,7 +497,6 @@ TEST(LsqFuzz, TableMatchesScanOnRandomStimulus)
             s->addrReady = true;
             s->addrReadyCycle = now + 1;
             table.onStoreAddrComputed(s);
-            scan.onStoreAddrComputed(s);
             break;
           }
           case 4: {  // commit: remove the oldest entry
@@ -503,7 +504,6 @@ TEST(LsqFuzz, TableMatchesScanOnRandomStimulus)
                 break;
             DynInst *d = live.front();
             table.remove(d);
-            scan.remove(d);
             live.erase(live.begin());
             break;
           }
@@ -512,7 +512,6 @@ TEST(LsqFuzz, TableMatchesScanOnRandomStimulus)
                 break;
             InstSeqNum keep = live[next() % live.size()]->seq();
             table.squashYoungerThan(keep);
-            scan.squashYoungerThan(keep);
             while (!live.empty() && live.back()->seq() > keep)
                 live.pop_back();
             break;
@@ -522,12 +521,12 @@ TEST(LsqFuzz, TableMatchesScanOnRandomStimulus)
             break;
         }
 
-        ASSERT_EQ(table.size(), scan.size());
+        ASSERT_EQ(table.size(), live.size());
         for (DynInst *d : live) {
             if (!d->isLoad())
                 continue;
             LoadCheck a = table.disambiguate(d, now);
-            LoadCheck b = scan.disambiguate(d, now);
+            LoadCheck b = scanDisambiguate(live, d, now);
             ASSERT_EQ(a.hold, b.hold)
                 << "load sn:" << d->seq() << " at cycle " << now;
             ASSERT_EQ(a.blocker, b.blocker)

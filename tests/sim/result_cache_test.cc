@@ -419,6 +419,57 @@ TEST(ResultCache, SaveOffReadsButNeverWrites)
     EXPECT_EQ(countEntries(dir), writer.size());
 }
 
+/** Occurrences of @p needle in @p text. */
+std::size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
+}
+
+TEST(ResultCache, UnwritableStoresWarnOncePerStore)
+{
+    // Both store directories sit under a regular file, so neither can
+    // be created and every save fails. Each store reports that once
+    // per process, not once per cell, and the records are those of a
+    // run whose stores work. (Not those of a run with no stores: a run
+    // with a checkpoint directory measures from the drained, reloaded
+    // core whether or not the save succeeds.)
+    const fs::path root = fs::path(freshDir("unwritable_stores"));
+    const fs::path blocker = root / "notadir";
+    writeFileAtomic(blocker.string(), "not a directory");
+    SimConfig stores = quick();
+    stores.resultCache.dir = (blocker / "rc").string();
+    stores.ckpt.dir = (blocker / "ck").string();
+    const std::vector<GridCell> cells = testGrid(stores);
+
+    ::testing::internal::CaptureStderr();
+    const std::vector<SimResults> results = runGrid(cells, 2);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+
+    const std::size_t rcWarnings =
+        countOf(err, "cannot write result-cache entry");
+    const std::size_t ckWarnings = countOf(err, "cannot write checkpoint");
+    // Exactly one each when this test has the process to itself (ctest
+    // runs each test alone); never more than one in any case.
+    EXPECT_LE(rcWarnings, 1u) << err;
+    EXPECT_LE(ckWarnings, 1u) << err;
+    if (::testing::UnitTest::GetInstance()->test_to_run_count() == 1) {
+        EXPECT_EQ(rcWarnings, 1u) << err;
+        EXPECT_EQ(ckWarnings, 1u) << err;
+    }
+    SimConfig writable = quick();
+    writable.resultCache.dir = (root / "rc").string();
+    writable.ckpt.dir = (root / "ck").string();
+    const std::vector<SimResults> reference =
+        runGrid(testGrid(writable), 2);
+    EXPECT_EQ(renderCsv(cells, results), renderCsv(cells, reference));
+    fs::remove_all(root);
+}
+
 TEST(ResultCacheGc, EvictsOldestUntilBudgetFits)
 {
     const std::string dir = freshDir("gc");

@@ -10,6 +10,12 @@
  * names, schema order, value formatting, provenance columns, or the
  * simulated outcomes themselves trips this test. This is the repo's
  * proof that interning and core reuse are pure plumbing changes.
+ *
+ * When the legacy scheduler params (core.iq.scan_wakeup,
+ * core.iq.scan_issue, core.lsq.scan_disambig, core.cq.calendar) were
+ * deleted, their four provenance columns were cut out of the file and
+ * the header's grid digest recomputed over the remaining columns; the
+ * file was not re-recorded.
  */
 
 #include <gtest/gtest.h>

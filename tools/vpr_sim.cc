@@ -40,8 +40,9 @@
  * checkpoint cache; see README "Checkpoints & warm-start sweeps") are
  * thin aliases onto the dotted parameters above, as is
  * --result-cache=<dir> (= sim.result_cache.dir, the content-addressed
- * per-cell result cache shared with the vpr_simd daemon; see README
- * "Sweep service").
+ * per-cell result cache; see README "Result cache"). With a result
+ * cache set, the cache's hit/miss/corrupt/store counts are printed to
+ * stderr as one line at exit.
  */
 
 #include <cstdlib>
@@ -53,6 +54,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/params.hh"
+#include "sim/result_cache.hh"
 #include "sim/results_io.hh"
 #include "sim/sweep.hh"
 #include "trace/kernels/kernels.hh"
@@ -239,6 +241,7 @@ main(int argc, char **argv)
         return 0;
     }
 
+    const ResultCacheReport cacheReport(!config.resultCache.dir.empty());
     if (!axes.empty()) {
         // Declarative sweep: cross product of benchmarks x axes through
         // the grid engine, sharded exactly like the bench binaries.
