@@ -142,9 +142,12 @@ parseArgs(int argc, char **argv)
                 "  applies the sim.sampling.* protocol tuned for the "
                 "named figure's\n"
                 "  grid (one preset per registered figure).\n"
-                "  --ckpt-dir caches warm-up state across runs "
-                "(= --set sim.ckpt.dir=<dir>;\n"
-                "  see README \"Checkpoints & warm-start sweeps\").\n"
+                "  --ckpt-dir caches sampled runs' fast-forward "
+                "state across runs\n"
+                "  (= --set sim.ckpt.dir=<dir>; see README "
+                "\"Checkpoints & warm-start\n"
+                "  sweeps\") and prints its hit/miss counts to stderr "
+                "at exit.\n"
                 "  --result-cache serves whole grid cells computed by "
                 "any earlier run\n"
                 "  from disk (= --set sim.result_cache.dir=<dir>; see "

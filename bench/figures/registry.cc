@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "common/logging.hh"
-#include "sim/result_cache.hh"
+#include "sim/store.hh"
 #include "sim/results_io.hh"
 
 namespace vpr::bench
@@ -59,8 +59,7 @@ figureMain(const std::string &name, int argc, char **argv)
         VPR_FATAL("--shard output must be CSV (tools/merge_results "
                   "cannot merge JSON); drop the .json extension");
 
-    const ResultCacheReport cacheReport(
-        !experimentConfig().resultCache.dir.empty());
+    const StoreReport storeReport(experimentConfig());
     const std::vector<GridCell> cells = def->build();
     const std::vector<std::size_t> indices =
         shardCellIndices(cells.size(), opt.shard);

@@ -154,7 +154,11 @@ struct IqBench
     InstQueue iq;
 };
 
-/** IQ broadcast wakeup over a full 128-entry queue. */
+/** IQ broadcast wakeup over a full 128-entry queue: each broadcast
+ *  wakes the two live waiters of its tag. The loop then re-arms just
+ *  those two (operand unready again, re-inserted onto the tag's wait
+ *  list), so every broadcast finds live waiters and no iteration walks
+ *  the queue. */
 void
 BM_IqWakeup(benchmark::State &state)
 {
@@ -166,11 +170,18 @@ BM_IqWakeup(benchmark::State &state)
         d->src[0].tag = static_cast<std::uint16_t>(i % 64);
         b.iq.insert(d);
     }
+    std::vector<ReadyRef> woken;
+    woken.reserve(256);
     std::uint16_t tag = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(b.iq.wakeup(RegClass::Int, tag, tag));
-        b.iq.forEachEntry(
-            [](DynInst *inst) { inst->src[0].ready = false; });  // rearm
+        b.iq.drainReadyEvents(woken);
+        for (const ReadyRef &r : woken) {  // re-arm
+            b.iq.remove(r.inst);
+            r.inst->src[0].ready = false;
+            b.iq.insert(r.inst);
+        }
+        woken.clear();
         tag = (tag + 1) % 64;
     }
 }
@@ -408,20 +419,20 @@ BM_SimulatorSampledCompress(benchmark::State &state)
 }
 BENCHMARK(BM_SimulatorSampledCompress)->Unit(benchmark::kMillisecond);
 
-/** A warmed, drained core ready to checkpoint: 20 k detailed
- *  instructions of swim, then a pipeline drain. */
+/** A core ready to checkpoint: swim functionally fast-forwarded by
+ *  100 k instructions, as a sampled run's initial skip leaves it. */
 std::unique_ptr<Core>
 warmedCore(TraceStream &stream, const CoreConfig &config)
 {
     auto core = std::make_unique<Core>(stream, config);
-    core->runUntilCommitted(20000);
-    core->drainForCheckpoint();
+    core->fastForward(100000, true);
     return core;
 }
 
-/** Serialize the warm state: the visitState walk plus checkpoint
- *  framing (no disk, no compression — that is the container's cost,
- *  reported by the save/restore end-to-end rows below). */
+/** Serialize the functionally warmed state: the visitState walk plus
+ *  checkpoint framing (no disk, no compression — that is the
+ *  container's cost, reported by the warm-start end-to-end rows
+ *  below). */
 void
 BM_CheckpointSave(benchmark::State &state)
 {
@@ -432,8 +443,8 @@ BM_CheckpointSave(benchmark::State &state)
     std::size_t bytes = 0;
     for (auto _ : state) {
         StateSaver saver;
-        core->visitState(saver, CkptScope::Full);
-        std::string raw = packCheckpoint(CkptScope::Full, 1,
+        core->visitState(saver, CkptScope::Functional);
+        std::string raw = packCheckpoint(CkptScope::Functional, 1,
                                          saver.take());
         bytes = raw.size();
         benchmark::DoNotOptimize(raw.data());
@@ -455,32 +466,35 @@ BM_CheckpointRestore(benchmark::State &state)
     {
         auto core = warmedCore(*stream, config.core);
         StateSaver saver;
-        core->visitState(saver, CkptScope::Full);
-        raw = packCheckpoint(CkptScope::Full, 1, saver.take());
+        core->visitState(saver, CkptScope::Functional);
+        raw = packCheckpoint(CkptScope::Functional, 1, saver.take());
     }
     for (auto _ : state) {
-        std::string payload = unpackCheckpoint(raw, CkptScope::Full, 1);
+        std::string payload =
+            unpackCheckpoint(raw, CkptScope::Functional, 1);
         Core fresh(*stream, config.core);
         StateLoader loader(payload);
-        fresh.visitState(loader, CkptScope::Full);
+        fresh.visitState(loader, CkptScope::Functional);
         benchmark::DoNotOptimize(fresh.committedInsts());
     }
 }
 BENCHMARK(BM_CheckpointRestore);
 
-/** Warm-start payoff, end to end: one grid cell with a 100 k
- *  instruction warm-up and a 20 k measured region, cold versus
- *  restoring the warm-up from a populated --ckpt-dir. The
- *  BM_SimulatorColdStart / BM_SimulatorWarmStart ratio is the per-cell
- *  sweep speedup the checkpoint cache buys (target >= 2x). */
+/** Warm-start payoff, end to end: one sampled grid cell with a 1 M
+ *  instruction fast-forward skip and a 20 k measured region (default
+ *  sampling geometry), cold versus restoring the fast-forward from a
+ *  populated --ckpt-dir. The BM_SimulatorColdStart /
+ *  BM_SimulatorWarmStart ratio is the per-cell sweep speedup the
+ *  checkpoint store buys. */
 void
 simulatorWarmStart(benchmark::State &state, bool useCache)
 {
     namespace fs = std::filesystem;
     SimConfig config = paperConfig();
-    config.skipInsts = 100000;
+    config.skipInsts = 1000000;
     config.measureInsts = 20000;
     config.core.fetch.wrongPath = WrongPathMode::Stall;
+    config.sampling.enable = true;
     const fs::path dir =
         fs::temp_directory_path() / "vpr_bench_warm_start";
     if (useCache) {
@@ -635,7 +649,7 @@ BM_ResultCacheLoad(benchmark::State &state)
         static_cast<double>(std::max<benchmark::IterationCount>(
             state.iterations(), 1));
     state.counters["entry_bytes"] = static_cast<double>(
-        std::filesystem::file_size(resultCachePath(
+        std::filesystem::file_size(resultStore().path(
             dir, cell.benchmark, resultCacheDigest(cell))));
     std::filesystem::remove_all(dir);
 }
@@ -660,7 +674,7 @@ BM_ResultCacheStore(benchmark::State &state)
         static_cast<double>(std::max<benchmark::IterationCount>(
             state.iterations(), 1));
     state.counters["entry_bytes"] = static_cast<double>(
-        std::filesystem::file_size(resultCachePath(
+        std::filesystem::file_size(resultStore().path(
             dir, cell.benchmark, resultCacheDigest(cell))));
     std::filesystem::remove_all(dir);
 }

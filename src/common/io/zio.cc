@@ -4,10 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <mutex>
-#include <set>
 #include <string_view>
 
 #include <sys/stat.h>
@@ -18,7 +15,6 @@
 #include <unistd.h>
 #endif
 
-#include "common/logging.hh"
 #include "common/state.hh"
 
 #ifdef VPR_HAVE_ZLIB
@@ -141,9 +137,6 @@ guessFormat(const std::string &data)
     if (data.size() >= sizeof(kVprzMagic) &&
         std::memcmp(data.data(), kVprzMagic, sizeof(kVprzMagic)) == 0)
         return FileFormat::Vprz;
-    if (data.size() >= sizeof(kCkptMagic) &&
-        std::memcmp(data.data(), kCkptMagic, sizeof(kCkptMagic)) == 0)
-        return FileFormat::Checkpoint;
     return FileFormat::Plain;
 }
 
@@ -303,27 +296,6 @@ writeFileAtomic(const std::string &path, const std::string &data)
         return false;
     }
     return true;
-}
-
-bool
-writeStoreEntry(const char *store, const std::string &dir,
-                const std::string &path, const std::string &data)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);  // the write reports
-    if (writeFileAtomic(path, data))
-        return true;
-    static std::mutex mu;
-    static std::set<std::string> warned;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!warned.insert(store).second)
-            return false;
-    }
-    VPR_WARN("cannot write ", store, " '", path,
-             "'; continuing without saving (further ", store,
-             " write failures in this process are not reported)");
-    return false;
 }
 
 } // namespace vpr

@@ -34,9 +34,8 @@ namespace vpr
 /** Detected on-disk format of an input file (by magic bytes). */
 enum class FileFormat : std::uint8_t
 {
-    Vprz,        ///< "VPRZ" compressed container
-    Checkpoint,  ///< bare "VPRCKPT" checkpoint
-    Plain,       ///< anything else (CSV/JSON results, text)
+    Vprz,   ///< "VPRZ" compressed container
+    Plain,  ///< anything else (CSV/JSON results, text)
 };
 
 /** Classify a buffer by its leading magic bytes. */
@@ -63,17 +62,6 @@ bool readFileBytes(const std::string &path, std::string &out);
  *  directory + rename), so concurrent grid cells racing to publish the
  *  same checkpoint never expose a partial file. False on I/O failure. */
 bool writeFileAtomic(const std::string &path, const std::string &data);
-
-/**
- * Publish one entry of an on-disk store (the checkpoint store, the
- * result cache): create @p dir if it is missing, then write @p data to
- * @p path atomically. Both are best effort. A failed write is reported
- * once per process per @p store name, since every cell of a grid would
- * otherwise print the same line. Thread-safe.
- * @return true when the entry was written.
- */
-bool writeStoreEntry(const char *store, const std::string &dir,
-                     const std::string &path, const std::string &data);
 
 } // namespace vpr
 

@@ -1,15 +1,9 @@
 #include "common/state.hh"
 
+#include <cstring>
+
 namespace vpr
 {
-
-const char kCkptMagic[8] = {'V', 'P', 'R', 'C', 'K', 'P', 'T', '\0'};
-
-const char *
-ckptScopeName(CkptScope s)
-{
-    return s == CkptScope::Functional ? "func" : "full";
-}
 
 std::uint64_t
 fnv1a(const void *data, std::size_t n, std::uint64_t seed)
@@ -74,6 +68,8 @@ StateLoader::bytes(void *p, std::size_t n)
 
 namespace
 {
+
+const char kCkptMagic[8] = {'V', 'P', 'R', 'C', 'K', 'P', 'T', '\0'};
 
 void
 appendWord(std::string &out, std::uint64_t v)

@@ -3,10 +3,11 @@
  * Microarchitectural state serialization — the checkpoint mirror of the
  * visitStats / visitParams patterns.
  *
- * Every structure that carries state across a drained (quiescent) point
- * exposes visitState(StateVisitor &): one walk that either appends the
- * live fields to a byte buffer (StateSaver) or assigns them back from
- * one (StateLoader). The walk is direction-agnostic — each field is
+ * Every structure that a functional fast-forward warms (trace position,
+ * BHT, cache hierarchy) exposes visitState(StateVisitor &): one walk
+ * that either appends the live fields to a byte buffer (StateSaver) or
+ * assigns them back from one (StateLoader), at a drained (quiescent)
+ * point. The walk is direction-agnostic — each field is
  * written exactly once with value()/bytes(), and the visitor decides
  * whether that means read or write — so the save and load paths cannot
  * drift apart.
@@ -16,15 +17,14 @@
  * sync fails loudly instead of scrambling fields. The container adds a
  * magic, a format version, the checkpoint scope, the warm-state digest
  * and a trailing payload checksum; every mismatch throws CkptError,
- * which callers turn into a cold run plus a warning — never a wrong
- * result.
+ * which the checkpoint store turns into a cold fast-forward plus a
+ * warning — never a wrong result.
  */
 
 #ifndef VPR_COMMON_STATE_HH
 #define VPR_COMMON_STATE_HH
 
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -53,13 +53,7 @@ enum class CkptScope : std::uint8_t
      *  shared by every grid cell with the same warm prefix regardless
      *  of rename scheme or register-file size. */
     Functional,
-    /** Every live structure at a drained point, including the renamer —
-     *  the per-cell checkpoint a detailed warm-up produces. */
-    Full,
 };
-
-/** Short stable scope name ("func"/"full"); used in file names. */
-const char *ckptScopeName(CkptScope s);
 
 /** Bumped whenever the serialized layout of any structure changes; a
  *  checkpoint from another version is rejected (version skew). */
@@ -124,17 +118,6 @@ class StateVisitor
         }
     }
 
-    /** One double field (bit pattern through a word). */
-    void
-    value(double &field)
-    {
-        std::uint64_t w;
-        std::memcpy(&w, &field, sizeof(w));
-        word(w);
-        if (loading())
-            std::memcpy(&field, &w, sizeof(field));
-    }
-
     /** A Random generator's raw state. */
     void
     rng(Random &r)
@@ -146,8 +129,8 @@ class StateVisitor
     }
 
     /**
-     * A vector whose size is fixed by the configuration (map tables,
-     * cache lines, BHT counters): only the elements travel; a load into
+     * A vector whose size is fixed by the configuration (stream
+     * positions, loop counters): only the elements travel; a load into
      * a vector of a different size throws CkptError (the digest should
      * have prevented the restore — this is the backstop).
      */
@@ -161,44 +144,6 @@ class StateVisitor
             throw CkptError("fixed-size table length mismatch");
         for (auto &e : v)
             value(e);
-    }
-
-    /** A variable-size vector (free lists, MSHRs, pending frees): the
-     *  size travels and the load resizes. @p maxSize bounds corrupted
-     *  inputs. */
-    template <typename T>
-    void
-    dynVec(std::vector<T> &v, std::uint64_t maxSize = 1u << 24)
-    {
-        std::uint64_t n = v.size();
-        word(n);
-        if (loading()) {
-            if (n > maxSize)
-                throw CkptError("sequence length implausibly large");
-            v.resize(static_cast<std::size_t>(n));
-        }
-        for (auto &e : v)
-            value(e);
-    }
-
-    /** A fixed-size vector<bool> (scoreboards), one word per bit for
-     *  simplicity — scoreboards are at most a few hundred entries. */
-    void
-    boolVec(std::vector<bool> &v)
-    {
-        std::uint64_t n = v.size();
-        word(n);
-        if (loading() && n != v.size())
-            throw CkptError("fixed-size bitmap length mismatch");
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            std::uint64_t b = v[i] ? 1 : 0;
-            word(b);
-            if (loading()) {
-                if (b > 1)
-                    throw CkptError("bitmap entry not a bit");
-                v[i] = b != 0;
-            }
-        }
     }
 };
 
@@ -255,8 +200,6 @@ class StateLoader : public StateVisitor
  * unpackCheckpoint verifies every field and throws CkptError naming the
  * first failure; packCheckpoint is its exact inverse.
  */
-extern const char kCkptMagic[8];
-
 std::string packCheckpoint(CkptScope scope, std::uint64_t digest,
                            const std::string &payload);
 

@@ -191,7 +191,7 @@ Core::fastForward(std::uint64_t n, bool warm)
 }
 
 void
-Core::visitState(StateVisitor &v, CkptScope scope)
+Core::visitState(StateVisitor &v, CkptScope /*scope*/)
 {
     VPR_ASSERT(quiescent(), "checkpoint of a non-quiescent core");
     // At quiescence the ROB/IQ/LSQ, latches, event calendar, port
@@ -201,13 +201,8 @@ Core::visitState(StateVisitor &v, CkptScope scope)
     v.value(state.curCycle);
     v.value(state.lastCommitCycle);
     v.value(ffRetired);
-    state.fetch.visitState(v, scope);
+    state.fetch.visitState(v);
     state.cache.visitState(v);
-    if (scope != CkptScope::Full)
-        return;
-    v.section("seq");
-    v.value(state.nextSeq);
-    state.renameMgr->visitState(v);
 }
 
 void

@@ -126,12 +126,12 @@ class Core : public SquashCoordinator
     bool quiescent() const;
 
     /**
-     * Serialize/restore the core at a quiescent point. Functional scope
-     * covers only the state a functional fast-forward warms (trace
-     * position, BHT, cache hierarchy, clocks) — one such checkpoint is
-     * shared by every sweep cell with the same warm-relevant
-     * configuration. Full scope adds the renamer, sequence numbers and
-     * whole-run counters for exact warm-up replay.
+     * Serialize/restore the core at a quiescent point: the state a
+     * functional fast-forward warms (trace position, BHT, cache
+     * hierarchy, clocks). Everything else is at its construction
+     * default, so one such checkpoint is shared by every sweep cell
+     * with the same warm-relevant configuration. The scope names the
+     * checkpoint kind; Functional is the only one.
      */
     void visitState(StateVisitor &v, CkptScope scope);
 

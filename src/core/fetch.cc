@@ -243,7 +243,7 @@ FetchUnit::resolveBranch(Cycle now)
 }
 
 void
-FetchUnit::visitState(StateVisitor &v, CkptScope scope)
+FetchUnit::visitState(StateVisitor &v)
 {
     VPR_ASSERT(buffer.empty() && !waiting,
                "fetch checkpointed while not drained");
@@ -251,17 +251,6 @@ FetchUnit::visitState(StateVisitor &v, CkptScope scope)
     trace.visitState(v);
     bht.visitState(v);
     v.value(exhausted);
-    if (scope != CkptScope::Full)
-        return;
-    // stallUntil can still point past the drain point: the final commit
-    // before quiescence may have resolved a mispredict.
-    v.value(stallUntil);
-    v.rng(wpRng);
-    v.value(wpPc);
-    v.value(nReal);
-    v.value(nWrongPath);
-    v.value(nBranches);
-    v.value(nMispredicts);
 }
 
 } // namespace vpr

@@ -145,13 +145,11 @@ class FetchUnit
     const TraceStream &stream() const { return trace; }
 
     /**
-     * Serialize/restore fetch state at a drained point (buffer empty,
-     * no mispredict outstanding). Functional scope covers the warm
-     * subset that survives a fast-forward: trace position and BHT.
-     * Full scope adds the wrong-path synthesizer and the whole-run
-     * fetch/branch counters.
+     * Serialize/restore the warm fetch state a functional fast-forward
+     * builds, at a drained point (buffer empty, no mispredict
+     * outstanding): trace position and BHT.
      */
-    void visitState(StateVisitor &v, CkptScope scope);
+    void visitState(StateVisitor &v);
 
     /** Statistics. @{ */
     std::uint64_t fetchedReal() const { return nReal; }

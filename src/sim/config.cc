@@ -104,20 +104,13 @@ SamplingConfig::visitParams(ParamVisitor &v)
 void
 CkptConfig::visitParams(ParamVisitor &v)
 {
-    // All execution-only: where warm state is cached must never change
-    // a result, so none of these enter provenance or config dumps.
+    // Execution-only: where warm state is cached must never change a
+    // result, so it enters neither provenance nor config dumps.
     v.strParam("dir", dir,
-               "warm-state checkpoint cache directory (empty = "
-               "checkpointing disabled); never changes results",
+               "warm-state checkpoint directory for sampled runs' "
+               "fast-forward (empty = checkpointing disabled); never "
+               "changes results",
                /*execOnly=*/true);
-    v.boolParam("compress", compress,
-                "compress checkpoint files (zlib container; stored "
-                "container when the build lacks zlib)",
-                /*execOnly=*/true);
-    v.boolParam("save", save,
-                "save a checkpoint after a cold warm-up (0 = "
-                "restore-only)",
-                /*execOnly=*/true);
 }
 
 void
@@ -130,10 +123,6 @@ ResultCacheConfig::visitParams(ParamVisitor &v)
                "content-addressed per-cell result cache directory "
                "(empty = cache disabled); never changes results",
                /*execOnly=*/true);
-    v.boolParam("compress", compress,
-                "compress result-cache entries (zlib container; stored "
-                "container when the build lacks zlib)",
-                /*execOnly=*/true);
     v.boolParam("save", save,
                 "save an entry after simulating a missed cell (0 = "
                 "read-only cache)",

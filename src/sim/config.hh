@@ -54,25 +54,19 @@ struct SamplingConfig
 };
 
 /**
- * Warm-state checkpointing (sim.ckpt.*). With a cache directory set,
- * a run whose warm-up (skip_insts) has been simulated before under the
- * same warm-relevant configuration restores the drained pipeline state
- * from disk instead of re-simulating it; a cold run saves its warm
- * state for the next run. All knobs are execution-only: where warm
- * state is cached must never change a result, so none of them enter
- * provenance or config dumps.
+ * Warm-state checkpointing (sim.ckpt.*). With a checkpoint directory
+ * set, a sampled run whose initial fast-forward (skip_insts) has been
+ * run before under the same warm-relevant configuration restores the
+ * functionally warmed state (trace position, BHT, caches) from disk
+ * instead of fast-forwarding again; a cold run saves it for the next
+ * run. Detailed runs do not checkpoint. Execution-only: where warm
+ * state is cached never changes a result, so it enters neither
+ * provenance nor config dumps.
  */
 struct CkptConfig
 {
-    /** Checkpoint cache directory; empty disables checkpointing. */
+    /** Checkpoint directory; empty disables checkpointing. */
     std::string dir;
-
-    /** Compress checkpoint files (zlib container; falls back to a
-     *  stored container when the build lacks zlib). */
-    bool compress = true;
-
-    /** Save a checkpoint after a cold warm-up (off = restore-only). */
-    bool save = true;
 
     /** Reflect the checkpoint parameters (sim/params.hh). */
     void visitParams(ParamVisitor &v);
@@ -91,10 +85,6 @@ struct ResultCacheConfig
 {
     /** Result cache directory; empty disables the cache. */
     std::string dir;
-
-    /** Compress cache entries (zlib container; falls back to a stored
-     *  container when the build lacks zlib). */
-    bool compress = true;
 
     /** Save entries after simulating a missed cell (0 = read-only:
      *  serve hits but never write). */

@@ -1,20 +1,12 @@
 #include "sim/result_cache.hh"
 
-#include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstring>
-#include <filesystem>
-#include <iostream>
-#include <limits>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <sstream>
 #include <string_view>
 
-#include "common/io/zio.hh"
-#include "common/logging.hh"
 #include "common/state.hh"
 #include "sim/experiment.hh"
 #include "sim/params.hh"
@@ -24,16 +16,6 @@ namespace vpr
 
 namespace
 {
-
-std::string
-toHex16(std::uint64_t v)
-{
-    static const char *hex = "0123456789abcdef";
-    std::string out;
-    for (int shift = 60; shift >= 0; shift -= 4)
-        out += hex[(v >> shift) & 0xf];
-    return out;
-}
 
 /** Round-trip-exact text of the global instruction scale (the same
  *  rendering results_io records in the file metadata). */
@@ -383,18 +365,7 @@ decodeEntry(std::string_view payload, std::uint64_t expectDigest,
 ResultCacheCounters &
 resultCacheCounters()
 {
-    static ResultCacheCounters counters;
-    return counters;
-}
-
-ResultCacheReport::~ResultCacheReport()
-{
-    if (!enabled)
-        return;
-    const ResultCacheCounters &c = resultCacheCounters();
-    std::cerr << "result cache: " << c.hits.load() << " hits, "
-              << c.misses.load() << " misses, " << c.corrupt.load()
-              << " corrupt, " << c.stores.load() << " stores\n";
+    return resultStore().counters();
 }
 
 std::uint64_t
@@ -419,37 +390,15 @@ resultCacheDigest(const GridCell &cell)
     return h;
 }
 
-std::string
-resultCachePath(const std::string &dir, const std::string &benchmark,
-                std::uint64_t digest)
-{
-    return dir + "/" + benchmark + "-" + toHex16(digest) + ".vprr";
-}
-
 bool
 loadCachedResult(const std::string &dir, const GridCell &cell,
                  SimResults &out)
 {
     const std::uint64_t digest = resultCacheDigest(cell);
-    const std::string path =
-        resultCachePath(dir, cell.benchmark, digest);
-    std::string raw;
-    if (!readFileBytes(path, raw)) {
-        resultCacheCounters().misses.fetch_add(1);
-        return false;
-    }
-    try {
-        out = decodeEntry(vprzUnpack(raw, "result"), digest,
-                          cell.benchmark);
-    } catch (const CkptError &e) {
-        VPR_WARN("discarding damaged result-cache entry '", path,
-                 "': ", e.what(), " (re-simulating the cell)");
-        resultCacheCounters().corrupt.fetch_add(1);
-        resultCacheCounters().misses.fetch_add(1);
-        return false;
-    }
-    resultCacheCounters().hits.fetch_add(1);
-    return true;
+    return resultStore().load(
+        dir, cell.benchmark, digest, [&](const std::string &payload) {
+            out = decodeEntry(payload, digest, cell.benchmark);
+        });
 }
 
 void
@@ -457,139 +406,8 @@ storeCachedResult(const std::string &dir, const GridCell &cell,
                   const SimResults &results)
 {
     const std::uint64_t digest = resultCacheDigest(cell);
-    const std::string path =
-        resultCachePath(dir, cell.benchmark, digest);
-    const std::string entry =
-        vprzPack(encodeEntry(digest, cell.benchmark, results), "result",
-                 cell.config.resultCache.compress);
-    if (writeStoreEntry("result-cache entry", dir, path, entry))
-        resultCacheCounters().stores.fetch_add(1);
-}
-
-std::vector<CacheFileInfo>
-listCacheFiles(const std::vector<std::string> &dirs)
-{
-    namespace fs = std::filesystem;
-    // file_clock's epoch is implementation-defined (not 1970 on
-    // libstdc++); rebase through "now" on both clocks so mtime reads
-    // as Unix seconds. One shared offset keeps the LRU order exact.
-    const auto fileNow = fs::file_time_type::clock::now();
-    const auto sysNow = std::chrono::system_clock::now();
-    std::vector<CacheFileInfo> files;
-    for (const std::string &dir : dirs) {
-        if (dir.empty())
-            continue;
-        std::error_code ec;
-        fs::directory_iterator it(dir, ec);
-        if (ec) {
-            VPR_WARN("cache GC: cannot list '", dir, "': ",
-                     ec.message());
-            continue;
-        }
-        for (const fs::directory_entry &entry : it) {
-            const std::string ext = entry.path().extension().string();
-            if (ext != ".vprck" && ext != ".vprr")
-                continue;
-            if (!entry.is_regular_file(ec) || ec)
-                continue;
-            CacheFileInfo info;
-            info.path = entry.path().string();
-            info.sizeBytes = entry.file_size(ec);
-            if (ec)
-                continue;
-            const auto mtime = entry.last_write_time(ec);
-            if (ec)
-                continue;
-            info.mtime =
-                std::chrono::duration_cast<std::chrono::seconds>(
-                    (mtime - fileNow) + sysNow.time_since_epoch())
-                    .count();
-            files.push_back(std::move(info));
-        }
-    }
-    return files;
-}
-
-CacheGcPlan
-planCacheGc(const std::vector<std::string> &dirs,
-            std::uint64_t budgetBytes)
-{
-    std::vector<CacheFileInfo> files = listCacheFiles(dirs);
-    // Oldest first; path tiebreak keeps the plan deterministic when a
-    // burst of grid cells lands inside one mtime granule.
-    std::sort(files.begin(), files.end(),
-              [](const CacheFileInfo &a, const CacheFileInfo &b) {
-                  return a.mtime != b.mtime ? a.mtime < b.mtime
-                                            : a.path < b.path;
-              });
-    CacheGcPlan plan;
-    for (const CacheFileInfo &f : files)
-        plan.totalBytes += f.sizeBytes;
-
-    std::uint64_t remaining = plan.totalBytes;
-    for (const CacheFileInfo &f : files) {
-        if (remaining <= budgetBytes) {
-            ++plan.keptFiles;
-            continue;
-        }
-        remaining -= f.sizeBytes;
-        plan.evictBytes += f.sizeBytes;
-        plan.evict.push_back(f);
-    }
-    return plan;
-}
-
-std::size_t
-applyCacheGc(const CacheGcPlan &plan)
-{
-    std::size_t removed = 0;
-    for (const CacheFileInfo &f : plan.evict) {
-        std::error_code ec;
-        if (std::filesystem::remove(f.path, ec) && !ec)
-            ++removed;
-    }
-    return removed;
-}
-
-bool
-parseByteSize(const std::string &text, std::uint64_t &bytes)
-{
-    if (text.empty())
-        return false;
-    std::uint64_t shift = 0;
-    std::string digits = text;
-    switch (text.back()) {
-      case 'k': case 'K': shift = 10; break;
-      case 'm': case 'M': shift = 20; break;
-      case 'g': case 'G': shift = 30; break;
-      case 't': case 'T': shift = 40; break;
-      default: break;
-    }
-    if (shift)
-        digits.pop_back();
-    std::uint64_t value = 0;
-    if (!parseParamU64(digits, value))
-        return false;
-    if (shift && value > (std::numeric_limits<std::uint64_t>::max() >>
-                          shift))
-        return false;
-    bytes = value << shift;
-    return true;
-}
-
-void
-printCacheGcPlan(std::ostream &os, const CacheGcPlan &plan,
-                 std::uint64_t budgetBytes, bool dryRun)
-{
-    for (const CacheFileInfo &f : plan.evict)
-        os << (dryRun ? "would evict " : "evict ") << f.path << " ("
-           << f.sizeBytes << " bytes, mtime " << f.mtime << ")\n";
-    os << "cache GC: " << plan.totalBytes << " bytes in "
-       << (plan.keptFiles + plan.evict.size()) << " files, budget "
-       << budgetBytes << " bytes: "
-       << (dryRun ? "would evict " : "evicting ") << plan.evict.size()
-       << " files (" << plan.evictBytes << " bytes), keeping "
-       << plan.keptFiles << "\n";
+    resultStore().save(dir, cell.benchmark, digest,
+                       encodeEntry(digest, cell.benchmark, results));
 }
 
 } // namespace vpr

@@ -1,6 +1,6 @@
 /**
  * @file
- * Content-addressed per-cell result cache.
+ * The per-cell result cache's entry codec and content digest.
  *
  * Every grid cell is a pure function of (benchmark, config provenance,
  * seed, instruction scale), so its merged MetricsRecord can be cached
@@ -8,12 +8,11 @@
  * cache key is a digest over exactly the provenance subset results_io
  * embeds in every exported record (seed included, execution-only knobs
  * excluded) plus the global instruction scale and the cache format
- * version — the same content-addressing discipline the warm-state
- * checkpoint cache uses (sim/checkpoint.hh), applied to whole-cell
- * *results* rather than warm state.
+ * version. Naming, reading, verifying, counting and writing entries is
+ * the shared content-addressed store's job (sim/store.hh, resultStore());
+ * this file only codes the entries.
  *
- * Entries are small binary records in a VPRZ container (common/io/
- * zio.hh, kind "result") whose checksum covers every byte. Format 2:
+ * An entry is a small binary record (VPRZ kind "result"). Format 2:
  *
  *   varint format version, u64 digest, varint length + benchmark
  *   varint length + schema section:
@@ -28,11 +27,11 @@
  * A process keeps a small bounded, thread-safe memo of the schemas its
  * loads have decoded, keyed by the schema bytes: after the first entry
  * of a schema, a load interns nothing and only copies values. Every
- * load re-verifies the container, the entry structure, digest and
- * benchmark; any damage is corrupt + miss — the cell is re-simulated
- * and the file repaired, never a wrong row. The format version is part
- * of the digest, so entries of an older format are never opened: they
- * are plain misses under a different file name, and cache_gc ages them
+ * load re-verifies the entry structure, digest and benchmark; any
+ * damage is corrupt + miss — the cell is re-simulated and the file
+ * repaired, never a wrong row. The format version is part of the
+ * digest, so entries of an older format are never opened: they are
+ * plain misses under a different file name, and cache_gc ages them
  * out.
  *
  * The cache is wired into the parallel experiment engine: any grid run
@@ -45,13 +44,11 @@
 #ifndef VPR_SIM_RESULT_CACHE_HH
 #define VPR_SIM_RESULT_CACHE_HH
 
-#include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "sim/parallel_engine.hh"
+#include "sim/store.hh"
 
 namespace vpr
 {
@@ -60,47 +57,14 @@ namespace vpr
  *  digest covers it) when the entry format changes. */
 constexpr std::uint32_t kResultCacheFormatVersion = 2;
 
-/**
- * Process-wide cache traffic counters (monotonic, thread-safe): the
- * engine's workers update them from any thread; the batch binaries
- * print them at exit (ResultCacheReport) and the tests read them as
- * before/after deltas.
- */
-struct ResultCacheCounters
-{
-    std::atomic<std::uint64_t> hits{0};     ///< cells served from disk
-    std::atomic<std::uint64_t> misses{0};   ///< cells simulated (no entry)
-    std::atomic<std::uint64_t> corrupt{0};  ///< damaged entries discarded
-    std::atomic<std::uint64_t> stores{0};   ///< entries written
-};
+/** The result cache's traffic counters (resultStore().counters()). */
+using ResultCacheCounters = StoreCounters;
 
 ResultCacheCounters &resultCacheCounters();
-
-/** Prints the counters to stderr as one line, "result cache: H hits,
- *  M misses, C corrupt, S stores", when it goes out of scope, if
- *  constructed enabled. A batch binary holds one over its run, enabled
- *  when sim.result_cache.dir is set; exits that skip destructors
- *  (fatal errors) print nothing. */
-class ResultCacheReport
-{
-  public:
-    explicit ResultCacheReport(bool enabled) : enabled(enabled) {}
-    ResultCacheReport(const ResultCacheReport &) = delete;
-    ResultCacheReport &operator=(const ResultCacheReport &) = delete;
-    ~ResultCacheReport();
-
-  private:
-    bool enabled;
-};
 
 /** The content digest of @p cell: provenance subset + benchmark +
  *  instruction scale + format version. Stable across processes. */
 std::uint64_t resultCacheDigest(const GridCell &cell);
-
-/** Cache-file path: `<dir>/<benchmark>-<hex16digest>.vprr`. */
-std::string resultCachePath(const std::string &dir,
-                            const std::string &benchmark,
-                            std::uint64_t digest);
 
 /**
  * Look up @p cell in the cache under @p dir. True and fills @p out on
@@ -117,54 +81,6 @@ bool loadCachedResult(const std::string &dir, const GridCell &cell,
  *  dependency. */
 void storeCachedResult(const std::string &dir, const GridCell &cell,
                        const SimResults &results);
-
-/** @name Cache directory garbage collection (LRU on file mtime)
- *  Used by tools/cache_gc: enforce a byte budget over checkpoint (*.vprck) and result (*.vprr) cache
- *  files, evicting least-recently-touched files first. @{ */
-
-/** One cache file considered by the collector. */
-struct CacheFileInfo
-{
-    std::string path;
-    std::uint64_t sizeBytes = 0;
-    /** Seconds-resolution modification time, Unix epoch (LRU key). */
-    std::int64_t mtime = 0;
-};
-
-/** The collector's decision over a set of directories. */
-struct CacheGcPlan
-{
-    std::vector<CacheFileInfo> evict;  ///< oldest-first eviction list
-    std::uint64_t totalBytes = 0;      ///< cache size before eviction
-    std::uint64_t evictBytes = 0;      ///< bytes the plan frees
-    std::size_t keptFiles = 0;         ///< files surviving the budget
-};
-
-/** Enumerate the cache files (*.vprck, *.vprr) of @p dirs. Missing or
- *  unreadable directories are skipped with a warning. */
-std::vector<CacheFileInfo>
-listCacheFiles(const std::vector<std::string> &dirs);
-
-/** Plan evictions so the surviving files fit @p budgetBytes, evicting
- *  by ascending mtime (ties broken by path for determinism). */
-CacheGcPlan planCacheGc(const std::vector<std::string> &dirs,
-                        std::uint64_t budgetBytes);
-
-/** Delete the planned files; returns how many were removed (a file
- *  vanishing concurrently is not an error). */
-std::size_t applyCacheGc(const CacheGcPlan &plan);
-
-/** Human-readable plan listing (one line per eviction + a summary),
- *  printed by cache_gc. */
-void printCacheGcPlan(std::ostream &os, const CacheGcPlan &plan,
-                      std::uint64_t budgetBytes, bool dryRun);
-
-/** Strictly parse a byte-size budget: a non-negative integer with an
- *  optional K/M/G/T suffix (powers of 1024, case-insensitive), e.g.
- *  "500M". False on malformed input or overflow. */
-bool parseByteSize(const std::string &text, std::uint64_t &bytes);
-
-/** @} */
 
 } // namespace vpr
 

@@ -3,11 +3,10 @@
 #include <iomanip>
 #include <iostream>
 
-#include "common/io/zio.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "sim/checkpoint.hh"
 #include "sim/params.hh"
+#include "sim/store.hh"
 #include "trace/kernels/kernels.hh"
 
 namespace vpr
@@ -29,7 +28,37 @@ threadSeed(SimConfig &cfg)
             deriveSeed(cfg.seed, kWrongPathSalt);
 }
 
+/** Provenance keys of what a functional fast-forward warms: the trace
+ *  stream is keyed by "seed" and the stream identity, the warmed
+ *  structures by the BHT geometry and the whole cache subtree. */
+bool
+warmKey(const std::string &name)
+{
+    return name == "seed" || name == "skip_insts" ||
+           name == "sim.sampling.functional_warming" ||
+           name == "core.fetch.bht_entries" ||
+           name.rfind("core.cache.", 0) == 0;
+}
+
 } // namespace
+
+std::uint64_t
+warmStateDigest(const SimConfig &cfg, const std::string &benchmark,
+                const std::string &streamIdentity)
+{
+    std::uint64_t h = fnv1a("ckpt", 4);
+    const std::uint64_t version = kStateFormatVersion;
+    h = fnv1a(&version, sizeof(version), h);
+    for (const auto &[name, value] : configProvenance(cfg)) {
+        if (!warmKey(name))
+            continue;
+        const std::string line = name + "=" + value + "\n";
+        h = fnv1a(line.data(), line.size(), h);
+    }
+    h = fnv1a(benchmark.data(), benchmark.size(), h);
+    h = fnv1a(streamIdentity.data(), streamIdentity.size(), h);
+    return h;
+}
 
 Simulator::Simulator(TraceStream &externalStream, const SimConfig &config)
     : cfg(config), stream(&externalStream)
@@ -96,62 +125,42 @@ Simulator::reinit(const std::string &benchmark, const SimConfig &config)
 bool
 Simulator::ckptActive() const
 {
-    return !cfg.ckpt.dir.empty() && cfg.skipInsts > 0 &&
-           !stream->identity().empty();
+    return !cfg.ckpt.dir.empty() && !stream->identity().empty();
 }
 
 bool
-Simulator::tryRestoreCheckpoint(CkptScope scope)
+Simulator::restoreCheckpoint(std::uint64_t digest)
 {
-    const std::uint64_t digest =
-        warmStateDigest(cfg, benchName, stream->identity(), scope);
-    const std::string path =
-        checkpointPath(cfg.ckpt.dir, benchName, scope, digest);
-    std::string raw;
-    if (!readFileBytes(path, raw))
-        return false;  // cache miss: core untouched, warm up cold
-    try {
-        if (guessFormat(raw) == FileFormat::Vprz)
-            raw = vprzUnpack(raw, "ckpt");
-        const std::string payload = unpackCheckpoint(raw, scope, digest);
-        rebuildCore();
-        StateLoader loader(payload);
-        theCore->visitState(loader, scope);
-        if (!loader.exhausted())
-            throw CkptError("trailing bytes after checkpoint state");
-        return true;
-    } catch (const CkptError &e) {
-        std::cerr << "vpr: warning: ignoring checkpoint " << path << ": "
-                  << e.what() << "; warming up cold\n";
+    bool touched = false;
+    const bool hit = checkpointStore().load(
+        cfg.ckpt.dir, benchName, digest, [&](const std::string &raw) {
+            const std::string payload =
+                unpackCheckpoint(raw, CkptScope::Functional, digest);
+            touched = true;
+            rebuildCore();
+            StateLoader loader(payload);
+            theCore->visitState(loader, CkptScope::Functional);
+            if (!loader.exhausted())
+                throw CkptError("trailing bytes after checkpoint state");
+        });
+    if (!hit && touched) {
         // The failed load may have half-mutated the core and advanced
         // the stream; rebuild both before the cold fallback.
         stream->reset();
         rebuildCore();
-        return false;
     }
+    return hit;
 }
 
 void
-Simulator::saveAndReloadCheckpoint(CkptScope scope)
+Simulator::saveCheckpoint(std::uint64_t digest)
 {
-    const std::uint64_t digest =
-        warmStateDigest(cfg, benchName, stream->identity(), scope);
+    // A fast-forward leaves the core drained: nothing is in flight.
     StateSaver saver;
-    theCore->visitState(saver, scope);
-    const std::string raw = packCheckpoint(scope, digest, saver.take());
-    if (cfg.ckpt.save) {
-        const std::string path =
-            checkpointPath(cfg.ckpt.dir, benchName, scope, digest);
-        writeStoreEntry("checkpoint", cfg.ckpt.dir, path,
-                        vprzPack(raw, "ckpt", cfg.ckpt.compress));
-    }
-    // Measure from a constructed-then-loaded core even on the cold run,
-    // so cold and restored measurements are byte-identical.
-    const std::string payload = unpackCheckpoint(raw, scope, digest);
-    rebuildCore();
-    StateLoader loader(payload);
-    theCore->visitState(loader, scope);
-    VPR_ASSERT(loader.exhausted(), "checkpoint reload left bytes over");
+    theCore->visitState(saver, CkptScope::Functional);
+    checkpointStore().save(
+        cfg.ckpt.dir, benchName, digest,
+        packCheckpoint(CkptScope::Functional, digest, saver.take()));
 }
 
 SimResults
@@ -160,21 +169,9 @@ Simulator::run()
     if (cfg.sampling.enable)
         return runSampled();
 
-    if (cfg.skipInsts > 0) {
-        if (ckptActive()) {
-            // Full-scope checkpoint: the detailed warm-up touches
-            // everything, so the warm key covers the full provenance.
-            if (!tryRestoreCheckpoint(CkptScope::Full)) {
-                theCore->runUntilCommitted(cfg.skipInsts);
-                theCore->drainForCheckpoint();
-                saveAndReloadCheckpoint(CkptScope::Full);
-            }
-        } else {
-            theCore->runUntilCommitted(cfg.skipInsts);
-        }
-    }
-    // The checkpoint step may have replaced the core; bind after it.
     Core &c = *theCore;
+    if (cfg.skipInsts > 0)
+        c.runUntilCommitted(cfg.skipInsts);
     c.resetStats();
     std::uint64_t target = c.committedInsts() + cfg.measureInsts;
     c.runUntilCommitted(target);
@@ -197,21 +194,21 @@ Simulator::runSampled()
     // The initial skip goes through the same functional-warming path as
     // the inter-interval fast-forwards — that is the whole point of
     // sampling: the paper's 100M-skip warm-up becomes nearly free.
-    // Functional-scope checkpoint: the fast-forward only warms the
-    // trace position, BHT and caches, so one cached checkpoint is
-    // shared by every cell of a scheme x regfile-size sweep grid.
+    // The fast-forward only warms the trace position, BHT and caches,
+    // so one checkpoint of it is shared by every cell of a scheme x
+    // regfile-size sweep grid, and a restored core measures exactly as
+    // a fast-forwarded one.
     if (cfg.skipInsts > 0) {
-        if (ckptActive()) {
-            if (!tryRestoreCheckpoint(CkptScope::Functional)) {
-                theCore->fastForward(cfg.skipInsts, sp.functionalWarming);
-                theCore->drainForCheckpoint();
-                saveAndReloadCheckpoint(CkptScope::Functional);
-            }
-        } else {
+        const bool ckpt = ckptActive();
+        const std::uint64_t digest =
+            ckpt ? warmStateDigest(cfg, benchName, stream->identity()) : 0;
+        if (!ckpt || !restoreCheckpoint(digest)) {
             theCore->fastForward(cfg.skipInsts, sp.functionalWarming);
+            if (ckpt)
+                saveCheckpoint(digest);
         }
     }
-    // The checkpoint step may have replaced the core; bind after it.
+    // A restore replaces the core; bind after it.
     Core &c = *theCore;
 
     stats::SampleEstimator ipcSampled{

@@ -119,6 +119,21 @@ struct SimResults
     /** @} */
 };
 
+/**
+ * The warm-key digest of a sampled run's initial fast-forward: it names
+ * the run's checkpoint in the checkpoint store (sim/store.hh) and is
+ * checked again inside the file on load. It hashes exactly what the
+ * fast-forward warms (the trace seed, the skip length, functional
+ * warming, the BHT and the cache subtree of @p cfg's provenance), the
+ * benchmark, the stream identity and the state-format version, and
+ * nothing else: the rename scheme, register-file size and core widths
+ * do not enter, so one checkpoint serves every cell of a scheme x
+ * regfile-size sweep.
+ */
+std::uint64_t warmStateDigest(const SimConfig &cfg,
+                              const std::string &benchmark,
+                              const std::string &streamIdentity);
+
 /** One simulation run: stream + core + measurement protocol. */
 class Simulator
 {
@@ -150,7 +165,10 @@ class Simulator
      * skipInsts, then alternate fast-forward / detailed warm-up /
      * measured intervals per the sim.sampling.* geometry; the returned
      * record aggregates the intervals and appends the
-     * core.ipc.sampled.{mean,stderr,ci95,intervals} estimator.
+     * core.ipc.sampled.{mean,stderr,ci95,intervals} estimator. With
+     * sim.ckpt.dir set, a sampled run restores its initial
+     * fast-forward from the checkpoint store, or saves it there; the
+     * record is the same either way.
      */
     SimResults run();
 
@@ -171,28 +189,22 @@ class Simulator
      *  and cold fallback both start from construction defaults). */
     void rebuildCore();
 
-    /** Checkpointing engaged for this run? Requires a cache directory,
-     *  a warm-up to skip, and a stream that advertises an identity. */
+    /** Checkpointing engaged for this run? Requires a checkpoint
+     *  directory and a stream that advertises an identity. */
     bool ckptActive() const;
 
     /**
-     * Try to restore the warm-up from the checkpoint cache; true on
-     * success (the core is rebuilt and loaded, positioned exactly after
-     * a drained warm-up). A missing file returns false with the core
-     * untouched; a bad file (corrupt, version skew, stale digest) warns,
-     * rewinds the stream, rebuilds the core and returns false — the
-     * caller falls back to a cold warm-up, never to a wrong result.
+     * Restore the initial fast-forward from the checkpoint store; true
+     * on a hit (the core is rebuilt and loaded, positioned exactly
+     * after the fast-forward). A missing file returns false with the
+     * core untouched; a damaged or stale one is counted and warned
+     * about by the store, and the stream and core are rebuilt — the
+     * caller fast-forwards cold, never to a wrong result.
      */
-    bool tryRestoreCheckpoint(CkptScope scope);
+    bool restoreCheckpoint(std::uint64_t digest);
 
-    /**
-     * Serialize the drained core, optionally write it to the cache, and
-     * reload it into a freshly constructed core. Cold and restored runs
-     * thus both measure from a constructed-then-loaded core, making
-     * them byte-identical by construction — and every cold run
-     * exercises the restore path.
-     */
-    void saveAndReloadCheckpoint(CkptScope scope);
+    /** Save the fast-forwarded core to the checkpoint store. */
+    void saveCheckpoint(std::uint64_t digest);
 
     SimConfig cfg;
     std::string benchName;

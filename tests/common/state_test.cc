@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -31,11 +32,9 @@ struct Widget
     std::uint32_t medium = 0;
     std::uint16_t small = 0;
     bool flag = false;
-    double ratio = 0.0;
     Random rng;
     std::vector<std::uint16_t> fixed;
-    std::vector<std::uint64_t> dynamic;
-    std::vector<bool> bits;
+    std::uint8_t raw[3] = {0, 0, 0};
 
     void
     visitState(StateVisitor &v)
@@ -45,11 +44,9 @@ struct Widget
         v.value(medium);
         v.value(small);
         v.value(flag);
-        v.value(ratio);
         v.rng(rng);
         v.fixedVec(fixed);
-        v.dynVec(dynamic);
-        v.boolVec(bits);
+        v.bytes(raw, sizeof(raw));
     }
 };
 
@@ -61,12 +58,12 @@ sampleWidget()
     w.medium = 0xabcdef01u;
     w.small = 0x7a5a;
     w.flag = true;
-    w.ratio = 2.7182818284590451;
     w.rng.reseed(42);
     w.rng.next64();
     w.fixed = {1, 2, 3, 0xffff};
-    w.dynamic = {9, 8, 7, 6, 5};
-    w.bits = {true, false, true, true};
+    w.raw[0] = 0x11;
+    w.raw[1] = 0x22;
+    w.raw[2] = 0x33;
     return w;
 }
 
@@ -78,7 +75,6 @@ TEST(StateVisitor, RoundTripIsExact)
 
     Widget x;
     x.fixed.assign(4, 0);   // fixedVec needs the right geometry
-    x.bits.assign(4, false);
     StateLoader loader(saver.buffer());
     x.visitState(loader);
     EXPECT_TRUE(loader.exhausted());
@@ -87,11 +83,9 @@ TEST(StateVisitor, RoundTripIsExact)
     EXPECT_EQ(x.medium, w.medium);
     EXPECT_EQ(x.small, w.small);
     EXPECT_EQ(x.flag, w.flag);
-    EXPECT_DOUBLE_EQ(x.ratio, w.ratio);
     EXPECT_EQ(x.rng.rawState(), w.rng.rawState());
     EXPECT_EQ(x.fixed, w.fixed);
-    EXPECT_EQ(x.dynamic, w.dynamic);
-    EXPECT_EQ(x.bits, w.bits);
+    EXPECT_EQ(std::memcmp(x.raw, w.raw, sizeof(w.raw)), 0);
 
     // Saving the restored widget reproduces the encoding byte for byte.
     StateSaver again;
@@ -116,7 +110,6 @@ TEST(StateVisitor, TruncatedPayloadThrows)
 
     Widget x;
     x.fixed.assign(4, 0);
-    x.bits.assign(4, false);
     StateLoader loader(cut);
     EXPECT_THROW(x.visitState(loader), CkptError);
 }
@@ -145,56 +138,58 @@ TEST(Checkpoint, PackUnpackRoundTrips)
 {
     const std::string payload = "warm state bytes \x01\x02\x03";
     const std::uint64_t digest = 0x1122334455667788ull;
-    std::string raw = packCheckpoint(CkptScope::Full, digest, payload);
-    EXPECT_EQ(unpackCheckpoint(raw, CkptScope::Full, digest), payload);
+    std::string raw = packCheckpoint(CkptScope::Functional, digest, payload);
+    EXPECT_EQ(unpackCheckpoint(raw, CkptScope::Functional, digest), payload);
     // Digest 0 means "don't check".
-    EXPECT_EQ(unpackCheckpoint(raw, CkptScope::Full, 0), payload);
+    EXPECT_EQ(unpackCheckpoint(raw, CkptScope::Functional, 0), payload);
 }
 
 TEST(Checkpoint, WrongMagicThrows)
 {
-    std::string raw = packCheckpoint(CkptScope::Full, 1, "x");
+    std::string raw = packCheckpoint(CkptScope::Functional, 1, "x");
     raw[0] = 'X';
-    EXPECT_THROW(unpackCheckpoint(raw, CkptScope::Full, 1), CkptError);
-    EXPECT_THROW(unpackCheckpoint("short", CkptScope::Full, 1), CkptError);
-    EXPECT_THROW(unpackCheckpoint("", CkptScope::Full, 1), CkptError);
+    EXPECT_THROW(unpackCheckpoint(raw, CkptScope::Functional, 1), CkptError);
+    EXPECT_THROW(unpackCheckpoint("short", CkptScope::Functional, 1),
+                 CkptError);
+    EXPECT_THROW(unpackCheckpoint("", CkptScope::Functional, 1), CkptError);
 }
 
 TEST(Checkpoint, VersionSkewThrows)
 {
-    std::string raw = packCheckpoint(CkptScope::Full, 1, "x");
+    std::string raw = packCheckpoint(CkptScope::Functional, 1, "x");
     raw[8] ^= 0x40;  // version word follows the 8-byte magic
-    EXPECT_THROW(unpackCheckpoint(raw, CkptScope::Full, 1), CkptError);
+    EXPECT_THROW(unpackCheckpoint(raw, CkptScope::Functional, 1), CkptError);
 }
 
 TEST(Checkpoint, ScopeMismatchThrows)
 {
     std::string raw = packCheckpoint(CkptScope::Functional, 1, "x");
-    EXPECT_THROW(unpackCheckpoint(raw, CkptScope::Full, 1), CkptError);
+    raw[16] ^= 0x01;  // scope word follows the version
+    EXPECT_THROW(unpackCheckpoint(raw, CkptScope::Functional, 1), CkptError);
 }
 
 TEST(Checkpoint, DigestMismatchThrows)
 {
-    std::string raw = packCheckpoint(CkptScope::Full, 1, "x");
-    EXPECT_THROW(unpackCheckpoint(raw, CkptScope::Full, 2), CkptError);
+    std::string raw = packCheckpoint(CkptScope::Functional, 1, "x");
+    EXPECT_THROW(unpackCheckpoint(raw, CkptScope::Functional, 2), CkptError);
 }
 
 TEST(Checkpoint, CorruptedPayloadThrows)
 {
     std::string raw =
-        packCheckpoint(CkptScope::Full, 1, "some warm state payload");
+        packCheckpoint(CkptScope::Functional, 1, "some warm state payload");
     raw[raw.size() - 12] ^= 0x01;  // flip a payload byte, not the sum
-    EXPECT_THROW(unpackCheckpoint(raw, CkptScope::Full, 1), CkptError);
+    EXPECT_THROW(unpackCheckpoint(raw, CkptScope::Functional, 1), CkptError);
 }
 
 TEST(Checkpoint, TruncatedFileThrows)
 {
     std::string raw =
-        packCheckpoint(CkptScope::Full, 1, "some warm state payload");
+        packCheckpoint(CkptScope::Functional, 1, "some warm state payload");
     for (std::size_t keep : {raw.size() - 1, raw.size() / 2,
                              std::size_t{9}}) {
         EXPECT_THROW(
-            unpackCheckpoint(raw.substr(0, keep), CkptScope::Full, 1),
+            unpackCheckpoint(raw.substr(0, keep), CkptScope::Functional, 1),
             CkptError)
             << "kept " << keep << " of " << raw.size() << " bytes";
     }
@@ -202,8 +197,8 @@ TEST(Checkpoint, TruncatedFileThrows)
 
 TEST(Checkpoint, TrailingGarbageThrows)
 {
-    std::string raw = packCheckpoint(CkptScope::Full, 1, "x") + "junk";
-    EXPECT_THROW(unpackCheckpoint(raw, CkptScope::Full, 1), CkptError);
+    std::string raw = packCheckpoint(CkptScope::Functional, 1, "x") + "junk";
+    EXPECT_THROW(unpackCheckpoint(raw, CkptScope::Functional, 1), CkptError);
 }
 
 TEST(Vprz, StoredRoundTripsAndIsDetected)
@@ -311,8 +306,6 @@ TEST(Vprz, FormatDetection)
 {
     EXPECT_EQ(guessFormat("cell,benchmark\n0,go\n"), FileFormat::Plain);
     EXPECT_EQ(guessFormat(""), FileFormat::Plain);
-    EXPECT_EQ(guessFormat(packCheckpoint(CkptScope::Full, 1, "x")),
-              FileFormat::Checkpoint);
     EXPECT_EQ(guessFormat(vprzPack("x", "ckpt")), FileFormat::Vprz);
 }
 

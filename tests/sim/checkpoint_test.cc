@@ -1,23 +1,26 @@
 /**
- * @file
- * The warm-state checkpoint cache end to end: content-addressed digests
- * must share exactly when the warm state is shareable, a restored run
- * must be byte-identical to the cold run that produced the checkpoint,
- * and every damaged cache file must fall back to a cold warm-up with
- * the same results — a bad checkpoint may cost time, never correctness.
+ * The warm-state checkpoint store end to end: content-addressed digests
+ * must share exactly when the warm state is shareable, a restored
+ * sampled run must be byte-identical to the cold run that produced the
+ * checkpoint and to a run without a checkpoint directory, detailed runs
+ * must never checkpoint, and every damaged file must fall back to a
+ * cold fast-forward with the same results — a bad checkpoint may cost
+ * time, never correctness.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/io/zio.hh"
 #include "common/state.hh"
-#include "sim/checkpoint.hh"
 #include "sim/experiment.hh"
+#include "sim/results_io.hh"
+#include "sim/store.hh"
 #include "trace/kernels/kernels.hh"
 
 namespace vpr
@@ -81,92 +84,110 @@ expectIdenticalMetrics(const SimResults &a, const SimResults &b,
     }
 }
 
-/** The cache-file path the simulator will use for @p cfg. Only valid
+/** The checkpoint path the simulator will use for @p cfg. Only valid
  *  for cfg.seed == 0 (a non-zero master seed re-derives component
  *  seeds inside the Simulator before hashing). */
 std::string
-expectedPath(const SimConfig &cfg, const std::string &bench,
-             CkptScope scope)
+expectedPath(const SimConfig &cfg, const std::string &bench)
 {
     const std::string identity =
         makeBenchmarkStream(bench, cfg.seed)->identity();
-    return checkpointPath(
-        cfg.ckpt.dir, bench, scope,
-        warmStateDigest(cfg, bench, identity, scope));
+    return checkpointStore().path(
+        cfg.ckpt.dir, bench, warmStateDigest(cfg, bench, identity));
 }
+
+/** The grid's records as exported CSV text. */
+std::string
+renderCsv(const std::vector<GridCell> &cells,
+          const std::vector<SimResults> &results)
+{
+    std::vector<std::size_t> indices(cells.size());
+    for (std::size_t i = 0; i < indices.size(); ++i)
+        indices[i] = i;
+    std::ostringstream os;
+    writeResultsCsv(os, "checkpoint-test", ShardSpec{}, indices, cells,
+                    results);
+    return os.str();
+}
+
+/** Snapshot of the checkpoint store's counters (they are monotonic, so
+ *  tests assert on deltas). */
+struct CounterSnap
+{
+    std::uint64_t hits, misses, corrupt, stores;
+
+    static CounterSnap
+    now()
+    {
+        const StoreCounters &c = checkpointStore().counters();
+        return {c.hits.load(), c.misses.load(), c.corrupt.load(),
+                c.stores.load()};
+    }
+};
 
 TEST(CheckpointDigest, StableAndScopeTagged)
 {
-    SimConfig c = quick();
+    SimConfig c = sampledQuick();
     const std::string id = makeBenchmarkStream("vortex")->identity();
-    const std::uint64_t f =
-        warmStateDigest(c, "vortex", id, CkptScope::Functional);
-    EXPECT_EQ(f, warmStateDigest(c, "vortex", id, CkptScope::Functional));
-    // The scope is part of the key: a functional file can never be
-    // taken for a full one even with identical config.
-    EXPECT_NE(f, warmStateDigest(c, "vortex", id, CkptScope::Full));
+    const std::uint64_t f = warmStateDigest(c, "vortex", id);
+    EXPECT_EQ(f, warmStateDigest(c, "vortex", id));
     // Different benchmark or stream content, different key.
-    EXPECT_NE(f, warmStateDigest(c, "go", id, CkptScope::Functional));
-    EXPECT_NE(f, warmStateDigest(c, "vortex", id + "x",
-                                 CkptScope::Functional));
+    EXPECT_NE(f, warmStateDigest(c, "go", id));
+    EXPECT_NE(f, warmStateDigest(c, "vortex", id + "x"));
+    // The checkpoint file names the store's own kind, so a result-cache
+    // entry of the same digest never collides with it.
+    EXPECT_NE(checkpointStore().path("d", "vortex", f),
+              resultStore().path("d", "vortex", f));
 }
 
 TEST(CheckpointDigest, FunctionalKeyIgnoresDetailedMicroarchitecture)
 {
     // A functional fast-forward warms the trace position, BHT and
     // caches only — so the renaming scheme and regfile size must NOT
-    // change the functional key (that is what lets a scheme x size
-    // sweep share one checkpoint), while they MUST change the full key.
-    SimConfig base = quick();
+    // change the key: that is what lets a scheme x size sweep share one
+    // checkpoint.
+    SimConfig base = sampledQuick();
     const std::string id = makeBenchmarkStream("vortex")->identity();
     SimConfig other = base;
     other.setScheme(RenameScheme::VPAllocAtWriteback);
     other.core.rename.numPhysRegs = base.core.rename.numPhysRegs + 8;
-
-    EXPECT_EQ(warmStateDigest(base, "vortex", id, CkptScope::Functional),
-              warmStateDigest(other, "vortex", id,
-                              CkptScope::Functional));
-    EXPECT_NE(warmStateDigest(base, "vortex", id, CkptScope::Full),
-              warmStateDigest(other, "vortex", id, CkptScope::Full));
+    EXPECT_EQ(warmStateDigest(base, "vortex", id),
+              warmStateDigest(other, "vortex", id));
 }
 
-TEST(CheckpointDigest, WarmRelevantKeysChangeBothScopes)
+TEST(CheckpointDigest, WarmRelevantKeysChangeTheKey)
 {
-    SimConfig base = quick();
+    SimConfig base = sampledQuick();
     const std::string id = makeBenchmarkStream("vortex")->identity();
-    for (CkptScope scope : {CkptScope::Functional, CkptScope::Full}) {
-        SimConfig cache = base;
-        cache.core.cache.sizeBytes *= 2;
-        EXPECT_NE(warmStateDigest(base, "vortex", id, scope),
-                  warmStateDigest(cache, "vortex", id, scope))
-            << ckptScopeName(scope) << " ignored cache geometry";
-        SimConfig skip = base;
-        skip.skipInsts = base.skipInsts * 2;
-        EXPECT_NE(warmStateDigest(base, "vortex", id, scope),
-                  warmStateDigest(skip, "vortex", id, scope))
-            << ckptScopeName(scope) << " ignored warm-up length";
-    }
-    // The measurement length begins after the checkpoint: same key.
+    SimConfig cache = base;
+    cache.core.cache.sizeBytes *= 2;
+    EXPECT_NE(warmStateDigest(base, "vortex", id),
+              warmStateDigest(cache, "vortex", id))
+        << "ignored cache geometry";
+    SimConfig skip = base;
+    skip.skipInsts = base.skipInsts * 2;
+    EXPECT_NE(warmStateDigest(base, "vortex", id),
+              warmStateDigest(skip, "vortex", id))
+        << "ignored warm-up length";
+    // The measurement (and its sampling geometry) begins after the
+    // checkpoint: same key.
     SimConfig measure = base;
     measure.measureInsts = base.measureInsts * 2;
-    EXPECT_EQ(warmStateDigest(base, "vortex", id, CkptScope::Full),
-              warmStateDigest(measure, "vortex", id, CkptScope::Full));
+    measure.sampling.detailedInsts = base.sampling.detailedInsts * 2;
+    EXPECT_EQ(warmStateDigest(base, "vortex", id),
+              warmStateDigest(measure, "vortex", id));
 }
 
 TEST(CheckpointDigest, ExecOnlyCkptParamsDoNotChangeTheKey)
 {
-    // Where the cache lives and whether files are compressed is
-    // execution plumbing, not warm state: the digest (and the exported
-    // provenance) must not see sim.ckpt.*.
-    SimConfig base = quick();
+    // Where the store lives is execution plumbing, not warm state: the
+    // digest (and the exported provenance) must not see sim.ckpt.*.
+    SimConfig base = sampledQuick();
     const std::string id = makeBenchmarkStream("vortex")->identity();
     SimConfig other = base;
     other.ckpt.dir = "/somewhere/else";
-    other.ckpt.compress = false;
-    other.ckpt.save = false;
-    for (CkptScope scope : {CkptScope::Functional, CkptScope::Full})
-        EXPECT_EQ(warmStateDigest(base, "vortex", id, scope),
-                  warmStateDigest(other, "vortex", id, scope));
+    EXPECT_EQ(warmStateDigest(base, "vortex", id),
+              warmStateDigest(other, "vortex", id));
 }
 
 class CheckpointPerScheme : public ::testing::TestWithParam<RenameScheme>
@@ -175,21 +196,31 @@ class CheckpointPerScheme : public ::testing::TestWithParam<RenameScheme>
 
 TEST_P(CheckpointPerScheme, RestoredRunIsByteIdenticalToCold)
 {
-    SimConfig c = quick();
+    SimConfig c = sampledQuick();
     c.setScheme(GetParam());
     if (GetParam() == RenameScheme::ConventionalEarlyRelease)
         c.core.fetch.wrongPath = WrongPathMode::Stall;
     c.ckpt.dir = freshDir(
         std::string("scheme_") + renameSchemeName(GetParam()));
 
-    auto cold = runOne("vortex", c);  // miss: warms up, saves
+    const CounterSnap before = CounterSnap::now();
+    auto cold = runOne("vortex", c);  // miss: fast-forwards, saves
     EXPECT_EQ(countCheckpoints(c.ckpt.dir), 1u);
-    EXPECT_TRUE(fs::exists(expectedPath(c, "vortex", CkptScope::Full)));
+    EXPECT_TRUE(fs::exists(expectedPath(c, "vortex")));
 
     auto restored = runOne("vortex", c);  // hit: loads the file
     EXPECT_EQ(countCheckpoints(c.ckpt.dir), 1u);
+    const CounterSnap after = CounterSnap::now();
+    EXPECT_EQ(after.misses, before.misses + 1);
+    EXPECT_EQ(after.stores, before.stores + 1);
+    EXPECT_EQ(after.hits, before.hits + 1);
     expectIdenticalMetrics(cold, restored,
                            std::string("restored vs cold: ") +
+                               renameSchemeName(GetParam()));
+    SimConfig plain = c;
+    plain.ckpt.dir.clear();
+    expectIdenticalMetrics(runOne("vortex", plain), restored,
+                           std::string("restored vs no store: ") +
                                renameSchemeName(GetParam()));
     fs::remove_all(c.ckpt.dir);
 }
@@ -207,38 +238,6 @@ INSTANTIATE_TEST_SUITE_P(
                 ch = '_';
         return s;
     });
-
-TEST(Checkpoint, CompressedAndStoredFilesRestoreIdentically)
-{
-    // The container codec only changes bytes on disk, never the state
-    // inside: cold and restored legs must agree across both codecs.
-    SimConfig c = quick();
-    c.ckpt.dir = freshDir("codec_z");
-    c.ckpt.compress = true;
-    auto coldZ = runOne("vortex", c);
-    auto restoredZ = runOne("vortex", c);
-
-    SimConfig s = quick();
-    s.ckpt.dir = freshDir("codec_raw");
-    s.ckpt.compress = false;
-    auto coldRaw = runOne("vortex", s);
-    auto restoredRaw = runOne("vortex", s);
-
-    expectIdenticalMetrics(coldZ, restoredZ, "compressed restore");
-    expectIdenticalMetrics(coldRaw, restoredRaw, "stored restore");
-    expectIdenticalMetrics(coldZ, coldRaw, "compressed vs stored cold");
-
-    if (zlibAvailable()) {
-        std::string z, raw;
-        ASSERT_TRUE(readFileBytes(
-            expectedPath(c, "vortex", CkptScope::Full), z));
-        ASSERT_TRUE(readFileBytes(
-            expectedPath(s, "vortex", CkptScope::Full), raw));
-        EXPECT_LT(z.size(), raw.size());
-    }
-    fs::remove_all(c.ckpt.dir);
-    fs::remove_all(s.ckpt.dir);
-}
 
 TEST(Checkpoint, SampledSweepSharesOneFunctionalCheckpoint)
 {
@@ -270,12 +269,11 @@ TEST(Checkpoint, SampledSweepSharesOneFunctionalCheckpoint)
 
 TEST(Checkpoint, DamagedCacheFilesFallBackToColdByteIdentically)
 {
-    // Reference: a clean cache directory (cold leg saves + reloads).
-    SimConfig ref = quick();
+    // Reference: a clean checkpoint directory (the cold leg saves).
+    SimConfig ref = sampledQuick();
     ref.ckpt.dir = freshDir("fallback_ref");
     auto cold = runOne("vortex", ref);
-    const std::string goodPath =
-        expectedPath(ref, "vortex", CkptScope::Full);
+    const std::string goodPath = expectedPath(ref, "vortex");
     std::string good;
     ASSERT_TRUE(readFileBytes(goodPath, good));
 
@@ -287,6 +285,8 @@ TEST(Checkpoint, DamagedCacheFilesFallBackToColdByteIdentically)
     const std::string unpacked = vprzUnpack(good, "ckpt");
     std::string versionSkew = unpacked;
     versionSkew[8] ^= 0x40;  // version word after the 8-byte magic
+    std::string scopeSkew = unpacked;
+    scopeSkew[16] ^= 0x01;  // scope word after the version
     // The container's raw-size field (after magic, version, codec and
     // the kind): a flipped high byte declares ~2^62 bytes.
     ASSERT_EQ(guessFormat(good), FileFormat::Vprz);
@@ -298,22 +298,33 @@ TEST(Checkpoint, DamagedCacheFilesFallBackToColdByteIdentically)
         {"empty file", ""},
         {"version skew", versionSkew},
         {"digest mismatch",
-         packCheckpoint(CkptScope::Full, 0xdeadbeefull, "bogus state")},
-        {"scope mismatch",
-         packCheckpoint(CkptScope::Functional, 0xdeadbeefull, "bogus")},
+         vprzPack(packCheckpoint(CkptScope::Functional, 0xdeadbeefull,
+                                 "bogus state"),
+                  "ckpt")},
+        {"scope mismatch", vprzPack(scopeSkew, "ckpt")},
+        {"bare checkpoint, no container", unpacked},
+        {"wrong container kind", vprzPack(unpacked, "result")},
         {"container raw size", hugeRawSize},
     };
     for (const Damage &d : damages) {
-        SimConfig c = quick();
+        SimConfig c = sampledQuick();
         c.ckpt.dir = freshDir("fallback_case");
-        ASSERT_TRUE(writeFileAtomic(
-            expectedPath(c, "vortex", CkptScope::Full), d.bytes))
+        ASSERT_TRUE(writeFileAtomic(expectedPath(c, "vortex"), d.bytes))
             << d.name;
+        const CounterSnap before = CounterSnap::now();
+        ::testing::internal::CaptureStderr();
         auto fallback = runOne("vortex", c);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("discarding damaged checkpoint"),
+                  std::string::npos)
+            << d.name << ": " << err;
+        EXPECT_EQ(CounterSnap::now().corrupt, before.corrupt + 1) << d.name;
+        EXPECT_EQ(CounterSnap::now().misses, before.misses + 1) << d.name;
         expectIdenticalMetrics(cold, fallback,
                                std::string("fallback after ") + d.name);
         // The cold fallback re-saves; the repaired file must now load.
         auto repaired = runOne("vortex", c);
+        EXPECT_EQ(CounterSnap::now().hits, before.hits + 1) << d.name;
         expectIdenticalMetrics(cold, repaired,
                                std::string("repaired after ") + d.name);
         fs::remove_all(c.ckpt.dir);
@@ -321,33 +332,51 @@ TEST(Checkpoint, DamagedCacheFilesFallBackToColdByteIdentically)
     fs::remove_all(ref.ckpt.dir);
 }
 
-TEST(Checkpoint, SaveOffReadsButNeverWrites)
-{
-    SimConfig c = quick();
-    c.ckpt.dir = freshDir("save_off");
-    c.ckpt.save = false;
-    auto first = runOne("vortex", c);
-    EXPECT_EQ(countCheckpoints(c.ckpt.dir), 0u);
-
-    // A writer populates the cache; the read-only config then hits it.
-    SimConfig w = quick();
-    w.ckpt.dir = c.ckpt.dir;
-    auto writer = runOne("vortex", w);
-    EXPECT_EQ(countCheckpoints(c.ckpt.dir), 1u);
-    auto reader = runOne("vortex", c);
-    expectIdenticalMetrics(first, writer, "save=0 cold vs writer cold");
-    expectIdenticalMetrics(first, reader, "save=0 cold vs cache hit");
-    fs::remove_all(c.ckpt.dir);
-}
-
 TEST(Checkpoint, NoWarmupMeansNoCheckpoint)
 {
-    SimConfig c = quick();
+    SimConfig c = sampledQuick();
     c.skipInsts = 0;
     c.ckpt.dir = freshDir("no_warmup");
     runOne("vortex", c);
     EXPECT_EQ(countCheckpoints(c.ckpt.dir), 0u);
     fs::remove_all(c.ckpt.dir);
+}
+
+TEST(Checkpoint, CkptDirNeverChangesARecord)
+{
+    // sim.ckpt.dir is execution-only: for all four schemes, a detailed
+    // grid and a sampled grid export the same records with and without
+    // it — cold (the checkpoints are written) and warm (restored).
+    // Detailed runs never checkpoint at all.
+    for (bool sampled : {false, true}) {
+        const std::string dir =
+            freshDir(sampled ? "invariant_sampled" : "invariant_detailed");
+        std::vector<GridCell> plain;
+        for (RenameScheme scheme :
+             {RenameScheme::Conventional,
+              RenameScheme::ConventionalEarlyRelease,
+              RenameScheme::VPAllocAtWriteback,
+              RenameScheme::VPAllocAtIssue}) {
+            SimConfig c = sampled ? sampledQuick() : quick();
+            c.setScheme(scheme);
+            c.core.fetch.wrongPath = WrongPathMode::Stall;
+            for (const char *bench : {"vortex", "swim"})
+                plain.push_back({bench, c});
+        }
+        std::vector<GridCell> stored = plain;
+        for (GridCell &cell : stored)
+            cell.config.ckpt.dir = dir;
+
+        const std::string reference = renderCsv(plain, runGrid(plain, 2));
+        const std::string label = sampled ? "sampled" : "detailed";
+        EXPECT_EQ(renderCsv(stored, runGrid(stored, 2)), reference)
+            << label << " cold";
+        EXPECT_EQ(renderCsv(stored, runGrid(stored, 2)), reference)
+            << label << " warm";
+        // One functional checkpoint per benchmark, none for detailed.
+        EXPECT_EQ(countCheckpoints(dir), sampled ? 2u : 0u) << label;
+        fs::remove_all(dir);
+    }
 }
 
 TEST(Checkpoint, MissingDirectoryIsCreatedOnFirstSave)
@@ -357,7 +386,7 @@ TEST(Checkpoint, MissingDirectoryIsCreatedOnFirstSave)
     // and the next run restores from it.
     const fs::path root = fs::path(freshDir("missing_root"));
     const fs::path dir = root / "a" / "b";
-    SimConfig c = quick();
+    SimConfig c = sampledQuick();
     c.ckpt.dir = dir.string();
     ::testing::internal::CaptureStderr();
     auto cold = runOne("vortex", c);
@@ -379,9 +408,9 @@ TEST(Checkpoint, UnwritableDirectoryWarnsOncePerProcess)
     const fs::path root = fs::path(freshDir("unwritable"));
     const fs::path blocker = root / "file";
     writeFileAtomic(blocker.string(), "not a directory");
-    SimConfig c = quick();
+    SimConfig c = sampledQuick();
     c.ckpt.dir = (blocker / "ckpt").string();
-    SimConfig writable = quick();
+    SimConfig writable = sampledQuick();
     writable.ckpt.dir = freshDir("unwritable_ref");
     std::vector<GridCell> cells;
     for (const char *bench : {"vortex", "swim", "compress"})
@@ -418,7 +447,7 @@ TEST(Checkpoint, GridCellsHitTheCacheAcrossJobs)
     // cell for cell — concurrent cache hits (and the atomic-rename
     // writes on first touch) never perturb results.
     const std::string dir = freshDir("grid");
-    SimConfig c = quick();
+    SimConfig c = sampledQuick();
     c.ckpt.dir = dir;
     std::vector<GridCell> cells;
     for (RenameScheme s : {RenameScheme::Conventional,
@@ -435,8 +464,8 @@ TEST(Checkpoint, GridCellsHitTheCacheAcrossJobs)
     for (std::size_t i = 0; i < cells.size(); ++i)
         expectIdenticalMetrics(first[i], again[i],
                                "grid ckpt cell " + std::to_string(i));
-    // Full-scope keys cover the scheme: 3 schemes x 2 benchmarks.
-    EXPECT_EQ(countCheckpoints(dir), cells.size());
+    // The warm key ignores the scheme: one checkpoint per benchmark.
+    EXPECT_EQ(countCheckpoints(dir), 2u);
     fs::remove_all(dir);
 }
 

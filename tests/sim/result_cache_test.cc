@@ -127,7 +127,7 @@ TEST(ResultCacheDigest, StableAndDiscriminating)
 
     GridCell otherCacheCfg = cell;
     otherCacheCfg.config.resultCache.dir = "/somewhere/else";
-    otherCacheCfg.config.resultCache.compress = false;
+    otherCacheCfg.config.resultCache.save = false;
     EXPECT_EQ(resultCacheDigest(cell), resultCacheDigest(otherCacheCfg));
 }
 
@@ -147,7 +147,7 @@ TEST(ResultCache, MissThenHitRoundTrip)
     storeCachedResult(dir, cell, cold);
     EXPECT_EQ(CounterSnap::now().stores, before.stores + 1);
     EXPECT_TRUE(fs::exists(
-        resultCachePath(dir, cell.benchmark, resultCacheDigest(cell))));
+        resultStore().path(dir, cell.benchmark, resultCacheDigest(cell))));
 
     ASSERT_TRUE(loadCachedResult(dir, cell, out));
     EXPECT_EQ(CounterSnap::now().hits, before.hits + 1);
@@ -207,7 +207,7 @@ TEST(ResultCache, CorruptEntriesFallBackAndRepair)
     // flipped payload byte (caught by the container checksum).
     std::vector<std::string> paths;
     for (const GridCell &cell : cells)
-        paths.push_back(resultCachePath(dir, cell.benchmark,
+        paths.push_back(resultStore().path(dir, cell.benchmark,
                                         resultCacheDigest(cell)));
     std::string bytes;
     ASSERT_TRUE(readFileBytes(paths[0], bytes));
@@ -349,7 +349,7 @@ TEST(ResultCache, LeftoverVersion1EntryIsAPlainMiss)
         "vpr-result v1\ndigest=" + hex.str() +
             "\nbenchmark=go\nmetrics=1\nU\tcore.cycles\t5\tcycles\n",
         "result");
-    const std::string v1Path = resultCachePath(dir, "go", v1);
+    const std::string v1Path = resultStore().path(dir, "go", v1);
     ASSERT_TRUE(writeFileAtomic(v1Path, v1Entry));
 
     // The format version is in the digest, so the current build never
@@ -367,7 +367,7 @@ TEST(ResultCache, LeftoverVersion1EntryIsAPlainMiss)
 
     // The same bytes at the current key are refused as corrupt.
     ASSERT_TRUE(writeFileAtomic(
-        resultCachePath(dir, "go", resultCacheDigest(cell)), v1Entry));
+        resultStore().path(dir, "go", resultCacheDigest(cell)), v1Entry));
     before = CounterSnap::now();
     EXPECT_FALSE(loadCachedResult(dir, cell, out));
     EXPECT_EQ(CounterSnap::now().corrupt, before.corrupt + 1);
@@ -386,9 +386,9 @@ TEST(ResultCache, WrongDigestEntryIsRejected)
     GridCell other = cell;
     other.config.seed = 9;
     const std::string from =
-        resultCachePath(dir, cell.benchmark, resultCacheDigest(cell));
+        resultStore().path(dir, cell.benchmark, resultCacheDigest(cell));
     const std::string to =
-        resultCachePath(dir, other.benchmark, resultCacheDigest(other));
+        resultStore().path(dir, other.benchmark, resultCacheDigest(other));
     fs::rename(from, to);
 
     const CounterSnap before = CounterSnap::now();
@@ -435,13 +435,17 @@ TEST(ResultCache, UnwritableStoresWarnOncePerStore)
     // Both store directories sit under a regular file, so neither can
     // be created and every save fails. Each store reports that once
     // per process, not once per cell, and the records are those of a
-    // run whose stores work. (Not those of a run with no stores: a run
-    // with a checkpoint directory measures from the drained, reloaded
-    // core whether or not the save succeeds.)
+    // run whose stores work and of a run with no stores. The cells are
+    // sampled, so the checkpoint store is written too.
     const fs::path root = fs::path(freshDir("unwritable_stores"));
     const fs::path blocker = root / "notadir";
     writeFileAtomic(blocker.string(), "not a directory");
-    SimConfig stores = quick();
+    SimConfig none = quick();
+    none.sampling.enable = true;
+    none.sampling.periodInsts = 5000;
+    none.sampling.warmupInsts = 500;
+    none.sampling.detailedInsts = 1000;
+    SimConfig stores = none;
     stores.resultCache.dir = (blocker / "rc").string();
     stores.ckpt.dir = (blocker / "ck").string();
     const std::vector<GridCell> cells = testGrid(stores);
@@ -461,12 +465,12 @@ TEST(ResultCache, UnwritableStoresWarnOncePerStore)
         EXPECT_EQ(rcWarnings, 1u) << err;
         EXPECT_EQ(ckWarnings, 1u) << err;
     }
-    SimConfig writable = quick();
+    SimConfig writable = none;
     writable.resultCache.dir = (root / "rc").string();
     writable.ckpt.dir = (root / "ck").string();
-    const std::vector<SimResults> reference =
-        runGrid(testGrid(writable), 2);
-    EXPECT_EQ(renderCsv(cells, results), renderCsv(cells, reference));
+    const std::string csv = renderCsv(cells, results);
+    EXPECT_EQ(csv, renderCsv(cells, runGrid(testGrid(writable), 2)));
+    EXPECT_EQ(csv, renderCsv(cells, runGrid(testGrid(none), 2)));
     fs::remove_all(root);
 }
 

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/result_cache.hh"
+#include "sim/store.hh"
 
 using namespace vpr;
 

@@ -36,13 +36,13 @@
  * per run; CSV, .json, or compressed .vprz), --dump-trace=F,N, --list.
  * The classic flags --scheme/--regs/--nrr/--rob/--miss/--mshrs/
  * --wrongpath[-mem], --sampling (= sim.sampling.enable=1, SMARTS-style
- * sampled simulation) and --ckpt-dir=<dir> (= sim.ckpt.dir, warm-state
- * checkpoint cache; see README "Checkpoints & warm-start sweeps") are
- * thin aliases onto the dotted parameters above, as is
+ * sampled simulation) and --ckpt-dir=<dir> (= sim.ckpt.dir, checkpoints
+ * of sampled runs' fast-forward; see README "Checkpoints & warm-start
+ * sweeps") are thin aliases onto the dotted parameters above, as is
  * --result-cache=<dir> (= sim.result_cache.dir, the content-addressed
- * per-cell result cache; see README "Result cache"). With a result
- * cache set, the cache's hit/miss/corrupt/store counts are printed to
- * stderr as one line at exit.
+ * per-cell result cache; see README "Result cache"). Each store that is
+ * set prints its hit/miss/corrupt/store counts to stderr as one line at
+ * exit.
  */
 
 #include <cstdlib>
@@ -54,8 +54,8 @@
 
 #include "sim/experiment.hh"
 #include "sim/params.hh"
-#include "sim/result_cache.hh"
 #include "sim/results_io.hh"
+#include "sim/store.hh"
 #include "sim/sweep.hh"
 #include "trace/kernels/kernels.hh"
 #include "trace/trace_file.hh"
@@ -241,7 +241,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const ResultCacheReport cacheReport(!config.resultCache.dir.empty());
+    const StoreReport storeReport(config);
     if (!axes.empty()) {
         // Declarative sweep: cross product of benchmarks x axes through
         // the grid engine, sharded exactly like the bench binaries.
