@@ -430,9 +430,8 @@ warmedCore(TraceStream &stream, const CoreConfig &config)
 }
 
 /** Serialize the functionally warmed state: the visitState walk plus
- *  checkpoint framing (no disk, no compression — that is the
- *  container's cost, reported by the warm-start end-to-end rows
- *  below). */
+ *  checkpoint framing (no disk and no VPRZ container — their cost
+ *  shows in the warm-start end-to-end rows below). */
 void
 BM_CheckpointSave(benchmark::State &state)
 {
@@ -621,8 +620,9 @@ freshBenchDir(const char *tag)
     return dir.string();
 }
 
-/** One result-cache hit: read, container verify, schema memo lookup
- *  and value copies into a fresh record. */
+/** One result-cache hit: one read, the container checksum over the
+ *  payload in place, the schema memo lookup and value writes into a
+ *  copy of the schema's prototype record. */
 void
 BM_ResultCacheLoad(benchmark::State &state)
 {
@@ -648,14 +648,15 @@ BM_ResultCacheLoad(benchmark::State &state)
         static_cast<double>(allocs) /
         static_cast<double>(std::max<benchmark::IterationCount>(
             state.iterations(), 1));
-    state.counters["entry_bytes"] = static_cast<double>(
+    state.counters["bytes_per_entry"] = static_cast<double>(
         std::filesystem::file_size(resultStore().path(
             dir, cell.benchmark, resultCacheDigest(cell))));
     std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_ResultCacheLoad)->Unit(benchmark::kMicrosecond);
 
-/** One result-cache store: encode, compress and the atomic publish. */
+/** One result-cache store: encode, container (stored, not deflated)
+ *  and the atomic publish. */
 void
 BM_ResultCacheStore(benchmark::State &state)
 {
@@ -673,7 +674,7 @@ BM_ResultCacheStore(benchmark::State &state)
         static_cast<double>(allocs) /
         static_cast<double>(std::max<benchmark::IterationCount>(
             state.iterations(), 1));
-    state.counters["entry_bytes"] = static_cast<double>(
+    state.counters["bytes_per_entry"] = static_cast<double>(
         std::filesystem::file_size(resultStore().path(
             dir, cell.benchmark, resultCacheDigest(cell))));
     std::filesystem::remove_all(dir);

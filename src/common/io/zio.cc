@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string_view>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 
 #ifdef _WIN32
@@ -28,7 +30,10 @@ namespace
 {
 
 constexpr char kVprzMagic[4] = {'V', 'P', 'R', 'Z'};
-constexpr std::uint8_t kVprzVersion = 1;
+/** Version 1 checksums with byte-wise FNV-1a, version 2 (written) with
+ *  wordChecksum. */
+constexpr std::uint8_t kVprzVersionFnv = 1;
+constexpr std::uint8_t kVprzVersion = 2;
 constexpr std::uint8_t kCodecStore = 0;
 constexpr std::uint8_t kCodecZlib = 1;
 /** Deflate's largest expansion: a 258-byte match coded in two bits. */
@@ -42,15 +47,78 @@ appendU64(std::string &out, std::uint64_t v)
 }
 
 std::uint64_t
-readU64(const std::string &in, std::size_t &pos)
+loadLE64(const char *p)
+{
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, sizeof(w));
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    w = __builtin_bswap64(w);
+#endif
+    return w;
+}
+
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ull;
+
+/** xxHash64's round: for a fixed @p word a bijection of @p acc, and
+ *  for a fixed @p acc an injection of @p word (odd multipliers and a
+ *  rotate are all invertible mod 2^64). */
+inline std::uint64_t
+mixRound(std::uint64_t acc, std::uint64_t word)
+{
+    acc += word * kPrime2;
+    acc = (acc << 31) | (acc >> 33);
+    return acc * kPrime1;
+}
+
+/**
+ * The version-2 payload checksum. Word i of the payload (little-endian,
+ * the last one zero-padded) goes through lane i % 4, so the four
+ * dependency chains run side by side; the lanes then fold in order into
+ * a state seeded by the length, and a final avalanche spreads every bit.
+ * Each step is invertible in what it carries forward, so for a given
+ * length a change confined to one word always reaches the sum.
+ */
+std::uint64_t
+wordChecksum(std::string_view payload)
+{
+    const char *p = payload.data();
+    const std::size_t n = payload.size();
+    std::uint64_t lane[4] = {kPrime1, kPrime2, kPrime3,
+                             kPrime1 ^ kPrime3};
+    std::size_t i = 0;
+    for (; n - i >= 32; i += 32) {
+        lane[0] = mixRound(lane[0], loadLE64(p + i));
+        lane[1] = mixRound(lane[1], loadLE64(p + i + 8));
+        lane[2] = mixRound(lane[2], loadLE64(p + i + 16));
+        lane[3] = mixRound(lane[3], loadLE64(p + i + 24));
+    }
+    std::size_t k = 0;
+    for (; n - i >= 8; i += 8, ++k)
+        lane[k] = mixRound(lane[k], loadLE64(p + i));
+    if (i < n) {
+        char tail[8] = {};
+        std::memcpy(tail, p + i, n - i);
+        lane[k] = mixRound(lane[k], loadLE64(tail));
+    }
+    std::uint64_t h = mixRound(kPrime3, n);
+    for (std::uint64_t l : lane)
+        h = mixRound(h, l);
+    h ^= h >> 33;
+    h *= kPrime2;
+    h ^= h >> 29;
+    h *= kPrime3;
+    h ^= h >> 32;
+    return h;
+}
+
+std::uint64_t
+readU64(std::string_view in, std::size_t &pos)
 {
     if (in.size() - pos < 8)
         throw CkptError("truncated VPRZ container");
-    std::uint64_t w = 0;
-    for (int i = 0; i < 8; ++i)
-        w |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(in[pos + i]))
-             << (8 * i);
+    const std::uint64_t w = loadLE64(in.data() + pos);
     pos += 8;
     return w;
 }
@@ -83,16 +151,16 @@ deflateBytes(const std::string &in)
     return out;
 }
 
-/** Inflate @p in straight into a buffer of exactly @p rawSize bytes;
- *  the stream must fill it and end there. */
-std::string
-inflateBytes(std::string_view in, std::uint64_t rawSize)
+/** Inflate @p in straight into @p out, sized to exactly @p rawSize
+ *  bytes; the stream must fill it and end there. */
+void
+inflateBytes(std::string_view in, std::uint64_t rawSize, std::string &out)
 {
     z_stream zs;
     std::memset(&zs, 0, sizeof(zs));
     if (inflateInit(&zs) != Z_OK)
         throw CkptError("zlib inflateInit failed");
-    std::string out(static_cast<std::size_t>(rawSize), '\0');
+    out.assign(static_cast<std::size_t>(rawSize), '\0');
     zs.next_in = reinterpret_cast<Bytef *>(const_cast<char *>(in.data()));
     zs.avail_in = static_cast<uInt>(in.size());
     std::size_t produced = 0;
@@ -124,7 +192,6 @@ inflateBytes(std::string_view in, std::uint64_t rawSize)
     inflateEnd(&zs);
     if (produced != out.size())
         throw CkptError("VPRZ payload shorter than declared");
-    return out;
 }
 
 #endif // VPR_HAVE_ZLIB
@@ -178,21 +245,33 @@ vprzPack(const std::string &payload, const std::string &kind,
     appendU64(out, payload.size());
     appendU64(out, stored.size());
     out += stored;
-    appendU64(out, fnv1a(payload));
+    appendU64(out, wordChecksum(payload));
     return out;
 }
 
 std::string
 vprzUnpack(const std::string &raw, const std::string &expectKind)
 {
+    std::string inflated;
+    const std::string_view payload = vprzPayload(raw, expectKind, inflated);
+    if (payload.data() == inflated.data())
+        return inflated;
+    return std::string(payload);
+}
+
+std::string_view
+vprzPayload(std::string_view raw, std::string_view expectKind,
+            std::string &inflated)
+{
     if (raw.size() < 8 ||
         std::memcmp(raw.data(), kVprzMagic, sizeof(kVprzMagic)) != 0)
         throw CkptError("not a VPRZ container (wrong magic)");
     std::size_t pos = sizeof(kVprzMagic);
     std::uint8_t version = static_cast<unsigned char>(raw[pos++]);
-    if (version != kVprzVersion)
+    if (version != kVprzVersion && version != kVprzVersionFnv)
         throw CkptError("VPRZ container version skew (file v" +
                         std::to_string(version) + ", expected v" +
+                        std::to_string(kVprzVersionFnv) + " or v" +
                         std::to_string(kVprzVersion) + ")");
     std::uint8_t codec = static_cast<unsigned char>(raw[pos++]);
     std::size_t kindLen =
@@ -207,7 +286,7 @@ vprzUnpack(const std::string &raw, const std::string &expectKind)
     if (!expectKind.empty() && kind != expectKind)
         throw CkptError("VPRZ payload kind mismatch (file holds '" +
                         std::string(kind) + "', expected '" +
-                        expectKind + "')");
+                        std::string(expectKind) + "')");
     std::uint64_t rawSize = readU64(raw, pos);
     std::uint64_t storedSize = readU64(raw, pos);
     if (storedSize > raw.size() - pos || raw.size() - pos - storedSize < 8)
@@ -218,11 +297,11 @@ vprzUnpack(const std::string &raw, const std::string &expectKind)
     if (pos != raw.size())
         throw CkptError("trailing garbage after VPRZ container");
 
-    std::string payload;
+    std::string_view payload;
     if (codec == kCodecStore) {
         if (stored.size() != rawSize)
             throw CkptError("VPRZ stored size disagrees with raw size");
-        payload = std::string(stored);
+        payload = stored;
     } else if (codec == kCodecZlib) {
         // The raw size is not yet covered by the checksum, so bound it
         // by what the stored bytes can inflate to before allocating:
@@ -232,7 +311,8 @@ vprzUnpack(const std::string &raw, const std::string &expectKind)
                             " exceeds what " + std::to_string(storedSize) +
                             " stored bytes can inflate to");
 #ifdef VPR_HAVE_ZLIB
-        payload = inflateBytes(stored, rawSize);
+        inflateBytes(stored, rawSize, inflated);
+        payload = inflated;
 #else
         throw CkptError("VPRZ payload is zlib-compressed but this "
                         "build has no zlib");
@@ -240,7 +320,11 @@ vprzUnpack(const std::string &raw, const std::string &expectKind)
     } else {
         throw CkptError("unknown VPRZ codec " + std::to_string(codec));
     }
-    if (fnv1a(payload) != checksum)
+    const std::uint64_t sum =
+        version == kVprzVersion
+            ? wordChecksum(payload)
+            : fnv1a(payload.data(), payload.size());
+    if (sum != checksum)
         throw CkptError("VPRZ payload checksum mismatch (corrupted "
                         "file)");
     return payload;
@@ -266,6 +350,38 @@ readFileBytes(const std::string &path, std::string &out)
         out.append(chunk, std::fread(chunk, 1, sizeof(chunk), f));
     const bool ok = !std::ferror(f);
     std::fclose(f);
+    return ok;
+}
+
+bool
+FileBuffer::read(const std::string &path)
+{
+    len = 0;
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    // Sized by the open file itself, so a concurrent atomic re-publish
+    // of the path cannot tear the read. A file that shrank underneath
+    // reads short; the container checks then reject it.
+    struct stat st;
+    bool ok = ::fstat(fd, &st) == 0 && (st.st_mode & S_IFMT) == S_IFREG;
+    if (ok) {
+        const auto size = static_cast<std::size_t>(st.st_size);
+        bytes.reset(new char[size]);  // default-initialized: no memset
+        while (len < size) {
+            const ssize_t got = ::read(fd, bytes.get() + len, size - len);
+            if (got < 0 && errno == EINTR)
+                continue;
+            if (got <= 0) {
+                ok = got == 0;
+                break;
+            }
+            len += static_cast<std::size_t>(got);
+        }
+    }
+    ::close(fd);
+    if (!ok)
+        len = 0;
     return ok;
 }
 

@@ -79,7 +79,7 @@ appendWord(std::string &out, std::uint64_t v)
 }
 
 std::uint64_t
-readWord(const std::string &in, std::size_t &pos)
+readWord(std::string_view in, std::size_t &pos)
 {
     if (in.size() - pos < 8)
         throw CkptError("truncated checkpoint header");
@@ -114,6 +114,13 @@ std::string
 unpackCheckpoint(const std::string &raw, CkptScope expectScope,
                  std::uint64_t expectDigest)
 {
+    return std::string(checkpointPayload(raw, expectScope, expectDigest));
+}
+
+std::string_view
+checkpointPayload(std::string_view raw, CkptScope expectScope,
+                  std::uint64_t expectDigest)
+{
     if (raw.size() < sizeof(kCkptMagic))
         throw CkptError("truncated checkpoint (no magic)");
     if (std::memcmp(raw.data(), kCkptMagic, sizeof(kCkptMagic)) != 0)
@@ -132,11 +139,11 @@ unpackCheckpoint(const std::string &raw, CkptScope expectScope,
         throw CkptError("warm-state digest mismatch (stale checkpoint "
                         "for a different warm-relevant configuration)");
     std::uint64_t size = readWord(raw, pos);
-    if (raw.size() - pos < size + 8)
+    if (size > raw.size() - pos || raw.size() - pos - size < 8)
         throw CkptError("truncated checkpoint payload");
-    std::string payload = raw.substr(pos, size);
+    const std::string_view payload = raw.substr(pos, size);
     pos += size;
-    if (readWord(raw, pos) != fnv1a(payload))
+    if (readWord(raw, pos) != fnv1a(payload.data(), payload.size()))
         throw CkptError("checkpoint payload checksum mismatch "
                         "(corrupted file)");
     if (pos != raw.size())

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -169,8 +170,8 @@ class StateSaver : public StateVisitor
 class StateLoader : public StateVisitor
 {
   public:
-    explicit StateLoader(const std::string &payload)
-        : buf(payload), pos(0)
+    /** Reads @p payload in place: it must outlive the loader. */
+    explicit StateLoader(std::string_view payload) : buf(payload), pos(0)
     {}
 
     bool loading() const override { return true; }
@@ -182,7 +183,7 @@ class StateLoader : public StateVisitor
     bool exhausted() const { return pos == buf.size(); }
 
   private:
-    const std::string &buf;
+    std::string_view buf;
     std::size_t pos;
 };
 
@@ -207,6 +208,12 @@ std::string packCheckpoint(CkptScope scope, std::uint64_t digest,
  *  check (tools that inspect foreign checkpoints). */
 std::string unpackCheckpoint(const std::string &raw, CkptScope expectScope,
                              std::uint64_t expectDigest);
+
+/** unpackCheckpoint without the copy: the verified payload as a view
+ *  into @p raw. */
+std::string_view checkpointPayload(std::string_view raw,
+                                   CkptScope expectScope,
+                                   std::uint64_t expectDigest);
 
 } // namespace vpr
 

@@ -26,6 +26,7 @@
 #define VPR_SIM_METRICS_HH
 
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -56,6 +57,18 @@ struct Metric
     asReal() const
     {
         return kind == Kind::UInt ? static_cast<double>(uval) : rval;
+    }
+
+    /** The value's 64 bits: a counter as is, a real as its IEEE-754
+     *  encoding (MetricsRecord::setBitsAt inverts it). */
+    std::uint64_t
+    bits() const
+    {
+        if (kind == Kind::UInt)
+            return uval;
+        std::uint64_t b = 0;
+        std::memcpy(&b, &rval, sizeof(b));
+        return b;
     }
 
     /** Exact text form: integers in full, reals with round-trip
@@ -101,6 +114,19 @@ class MetricsRecord : public stats::StatVisitor
     void setReal(const std::string &name, const std::string &desc,
                  double v);
     /** @} */
+
+    /** Overwrite the value of the metric at schema position @p i from
+     *  its Metric::bits(), keeping its name and kind: a record copied
+     *  from a schema prototype is filled without a name lookup. */
+    void
+    setBitsAt(std::size_t i, std::uint64_t bits)
+    {
+        Metric &m = metrics[i];
+        if (m.kind == Metric::Kind::UInt)
+            m.uval = bits;
+        else
+            std::memcpy(&m.rval, &bits, sizeof(bits));
+    }
 
     bool has(const std::string &name) const;
 

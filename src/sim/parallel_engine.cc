@@ -5,6 +5,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/result_cache.hh"
 
@@ -105,6 +106,18 @@ ParallelExperimentEngine::workersFor(std::size_t cellCount) const
 std::vector<SimResults>
 ParallelExperimentEngine::run(const std::vector<GridCell> &cells) const
 {
+    // Every cell's scaled config is checked here, on the calling thread,
+    // before any worker starts: a bad cell fails once, naming itself,
+    // rather than in each worker that reaches a bad cell.
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        SimConfig scaled = cells[i].config;
+        applyInstructionScale(scaled);
+        const std::string error = scaled.validationError();
+        if (!error.empty())
+            VPR_FATAL("grid cell ", i, " (", cells[i].benchmark,
+                      "): ", error);
+    }
+
     std::vector<SimResults> results(cells.size());
 
     const unsigned workers = workersFor(cells.size());

@@ -1,7 +1,6 @@
 #include "sim/result_cache.hh"
 
 #include <array>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -28,20 +27,15 @@ scaleKeyText()
     return os.str();
 }
 
+/** Little-endian u64 at @p p (one load on little-endian hosts). */
 std::uint64_t
-bitsOf(double d)
+loadU64(const char *p)
 {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof(bits));
-    return bits;
-}
-
-double
-doubleOf(std::uint64_t bits)
-{
-    double d = 0.0;
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+             << (8 * i);
+    return v;
 }
 
 void
@@ -88,11 +82,7 @@ class EntryReader
     u64()
     {
         need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(in[pos + i]))
-                 << (8 * i);
+        const std::uint64_t v = loadU64(in.data() + pos);
         pos += 8;
         return v;
     }
@@ -322,7 +312,7 @@ encodeEntry(std::uint64_t digest, const std::string &benchmark,
     putBytes(out, benchmark);
     putBytes(out, schema);
     for (const Metric &m : results.metrics.all())
-        putU64(out, m.kind == Metric::Kind::UInt ? m.uval : bitsOf(m.rval));
+        putU64(out, m.bits());
     return out;
 }
 
@@ -350,13 +340,8 @@ decodeEntry(std::string_view payload, std::uint64_t expectDigest,
                         " metrics");
     SimResults out;
     out.metrics = schema->proto;
-    EntryReader v(values, "values");
-    for (const Metric &m : schema->proto.all()) {
-        if (m.kind == Metric::Kind::UInt)
-            out.metrics.setUInt(m.nameSym, m.descSym, v.u64());
-        else
-            out.metrics.setReal(m.nameSym, m.descSym, doubleOf(v.u64()));
-    }
+    for (std::size_t i = 0; i < out.metrics.size(); ++i)
+        out.metrics.setBitsAt(i, loadU64(values.data() + 8 * i));
     return out;
 }
 
@@ -396,7 +381,7 @@ loadCachedResult(const std::string &dir, const GridCell &cell,
 {
     const std::uint64_t digest = resultCacheDigest(cell);
     return resultStore().load(
-        dir, cell.benchmark, digest, [&](const std::string &payload) {
+        dir, cell.benchmark, digest, [&](std::string_view payload) {
             out = decodeEntry(payload, digest, cell.benchmark);
         });
 }

@@ -12,7 +12,9 @@
  * the shared content-addressed store's job (sim/store.hh, resultStore());
  * this file only codes the entries.
  *
- * An entry is a small binary record (VPRZ kind "result"). Format 2:
+ * An entry is a binary record (VPRZ kind "result", written
+ * uncompressed: about 14 KB for a paper cell, see sim/store.hh for
+ * why). Format 2:
  *
  *   varint format version, u64 digest, varint length + benchmark
  *   varint length + schema section:
@@ -26,13 +28,16 @@
  *
  * A process keeps a small bounded, thread-safe memo of the schemas its
  * loads have decoded, keyed by the schema bytes: after the first entry
- * of a schema, a load interns nothing and only copies values. Every
+ * of a schema, a load interns nothing: it copies the schema's prototype
+ * record and writes each value into it by position. Every
  * load re-verifies the entry structure, digest and benchmark; any
  * damage is corrupt + miss — the cell is re-simulated and the file
  * repaired, never a wrong row. The format version is part of the
  * digest, so entries of an older format are never opened: they are
  * plain misses under a different file name, and cache_gc ages them
- * out.
+ * out. The VPRZ container version is not in the digest: format-2
+ * entries that earlier builds saved in deflated version-1 containers
+ * keep their names and still hit.
  *
  * The cache is wired into the parallel experiment engine: any grid run
  * — bench binaries and vpr_sim sweeps — with sim.result_cache.dir set

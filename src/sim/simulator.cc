@@ -133,9 +133,9 @@ Simulator::restoreCheckpoint(std::uint64_t digest)
 {
     bool touched = false;
     const bool hit = checkpointStore().load(
-        cfg.ckpt.dir, benchName, digest, [&](const std::string &raw) {
-            const std::string payload =
-                unpackCheckpoint(raw, CkptScope::Functional, digest);
+        cfg.ckpt.dir, benchName, digest, [&](std::string_view raw) {
+            const std::string_view payload =
+                checkpointPayload(raw, CkptScope::Functional, digest);
             touched = true;
             rebuildCore();
             StateLoader loader(payload);
@@ -198,15 +198,19 @@ Simulator::runSampled()
     // so one checkpoint of it is shared by every cell of a scheme x
     // regfile-size sweep grid, and a restored core measures exactly as
     // a fast-forwarded one.
-    if (cfg.skipInsts > 0) {
-        const bool ckpt = ckptActive();
+    if (cfg.skipInsts > 0 && ckptActive()) {
         const std::uint64_t digest =
-            ckpt ? warmStateDigest(cfg, benchName, stream->identity()) : 0;
-        if (!ckpt || !restoreCheckpoint(digest)) {
+            warmStateDigest(cfg, benchName, stream->identity());
+        // Grid cells that share the warm key and start together
+        // fast-forward once: the others wait here, then restore.
+        const ContentStore::Claim claim(checkpointStore(), cfg.ckpt.dir,
+                                        benchName, digest);
+        if (!restoreCheckpoint(digest)) {
             theCore->fastForward(cfg.skipInsts, sp.functionalWarming);
-            if (ckpt)
-                saveCheckpoint(digest);
+            saveCheckpoint(digest);
         }
+    } else if (cfg.skipInsts > 0) {
+        theCore->fastForward(cfg.skipInsts, sp.functionalWarming);
     }
     // A restore replaces the core; bind after it.
     Core &c = *theCore;

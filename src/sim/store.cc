@@ -60,15 +60,15 @@ ContentStore::path(const std::string &dir, const std::string &benchmark,
 }
 
 bool
-ContentStore::fetch(const std::string &file, std::string &payload)
+ContentStore::fetch(const std::string &file, Fetched &entry)
 {
-    std::string raw;
-    if (!readFileBytes(file, raw)) {
+    if (!entry.raw.read(file)) {
         count.misses.fetch_add(1);
         return false;
     }
     try {
-        payload = vprzUnpack(raw, kind.vprzKind);
+        entry.payload =
+            vprzPayload(entry.raw.view(), kind.vprzKind, entry.inflated);
     } catch (const CkptError &e) {
         return damaged(file, e);
     }
@@ -92,7 +92,10 @@ ContentStore::save(const std::string &dir, const std::string &benchmark,
     const std::string file = path(dir, benchmark, digest);
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);  // the write reports
-    if (writeFileAtomic(file, vprzPack(payload, kind.vprzKind))) {
+    // Stored, not deflated: a hit is then one read and one checksum
+    // pass. Entries are about 5x larger (see the file comment).
+    if (writeFileAtomic(file,
+                        vprzPack(payload, kind.vprzKind, /*compress=*/false))) {
         count.stores.fetch_add(1);
         return;
     }
@@ -101,6 +104,29 @@ ContentStore::save(const std::string &dir, const std::string &benchmark,
         VPR_WARN("cannot write ", kind.entry, " '", file,
                  "'; continuing without saving (further ", kind.entry,
                  " write failures in this process are not reported)");
+}
+
+ContentStore::Claim::Claim(ContentStore &store, const std::string &dir,
+                           const std::string &benchmark,
+                           std::uint64_t digest)
+    : store(store), file(store.path(dir, benchmark, digest))
+{
+    std::unique_lock<std::mutex> lock(store.claimLock);
+    store.claimReleased.wait(lock, [&] {
+        return std::find(store.claimed.begin(), store.claimed.end(),
+                         file) == store.claimed.end();
+    });
+    store.claimed.push_back(file);
+}
+
+ContentStore::Claim::~Claim()
+{
+    {
+        std::lock_guard<std::mutex> lock(store.claimLock);
+        store.claimed.erase(
+            std::find(store.claimed.begin(), store.claimed.end(), file));
+    }
+    store.claimReleased.notify_all();
 }
 
 std::string

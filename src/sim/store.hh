@@ -12,29 +12,46 @@
  * for both:
  *
  *  - naming: `<dir>/<benchmark>-<hex16 digest><extension>`;
- *  - reading: the file, then its VPRZ container of the store's kind;
+ *  - reading: the file, read once into a buffer that is never
+ *    zero-filled, then its VPRZ container of the store's kind, whose
+ *    checksum is verified over the payload in place (no copy);
  *  - verifying: the owner's decoder throws CkptError on any damage. A
  *    damaged entry warns, counts as corrupt + miss, and the owner
  *    recomputes it; the re-save repairs the file;
  *  - counting: hits, misses, corrupt entries and stores, per store;
- *  - writing: a VPRZ container (deflated when zlib is linked) published
- *    by an atomic rename. A missing directory is created; a failed
- *    write warns once per process per store;
+ *  - writing: a VPRZ container published by an atomic rename. A
+ *    missing directory is created; a failed write warns once per
+ *    process per store;
+ *  - single flight: a Claim makes concurrent cells that want the same
+ *    entry compute it once;
  *  - collecting: cache_gc's LRU walk over both stores' file extensions.
  *
  * Store directories hold only entry files: writes go through a temp
  * file renamed into place.
+ *
+ * Entries are written uncompressed (the VPRZ store codec), so a hit
+ * costs one file read and one word-wise checksum pass: inflating and
+ * byte-wise checksumming were most of a warm-cache regeneration's CPU.
+ * The price is disk — a paper cell's result entry is about 14 KB
+ * instead of 2-3 KB deflated (~5x), a checkpoint about 19 KB instead of
+ * 2.4 KB (~8x) — so a cache_gc byte budget holds about a fifth as many
+ * entries. Entries written deflated (and version-1 containers) by
+ * earlier builds are still read.
  */
 
 #ifndef VPR_SIM_STORE_HH
 #define VPR_SIM_STORE_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <iosfwd>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/io/zio.hh"
 #include "common/state.hh"
 #include "sim/config.hh"
 
@@ -77,10 +94,11 @@ class ContentStore
                      std::uint64_t digest) const;
 
     /**
-     * Look the entry up and hand its unpacked payload to
-     * @p decode(const std::string &), which throws CkptError on damage.
-     * True on a decoded hit; false on a miss, counting a damaged entry
-     * as corrupt + miss after one warning.
+     * Look the entry up and hand its verified payload to
+     * @p decode(std::string_view), which throws CkptError on damage. The
+     * view points into the file's bytes as read (no copy) and is valid
+     * only during the call. True on a decoded hit; false on a miss,
+     * counting a damaged entry as corrupt + miss after one warning.
      */
     template <typename Decode>
     bool
@@ -88,11 +106,11 @@ class ContentStore
          std::uint64_t digest, Decode &&decode)
     {
         const std::string file = path(dir, benchmark, digest);
-        std::string payload;
-        if (!fetch(file, payload))
+        Fetched entry;
+        if (!fetch(file, entry))
             return false;
         try {
-            decode(payload);
+            decode(entry.payload);
         } catch (const CkptError &e) {
             return damaged(file, e);
         }
@@ -107,6 +125,30 @@ class ContentStore
     void save(const std::string &dir, const std::string &benchmark,
               std::uint64_t digest, const std::string &payload);
 
+    /**
+     * Single flight for one entry: while a Claim is held, another Claim
+     * on the same entry waits. A cell that would look an entry up and,
+     * on a miss, compute and save it holds one over all three, so cells
+     * that want the same entry at once compute it once — the others
+     * then load what the first saved. Released on destruction, also
+     * when the holder throws: the next waiter misses and takes over.
+     * (In a directory that cannot be written, same-entry cells thus
+     * compute one after another; the first failed save warns.)
+     */
+    class Claim
+    {
+      public:
+        Claim(ContentStore &store, const std::string &dir,
+              const std::string &benchmark, std::uint64_t digest);
+        ~Claim();
+        Claim(const Claim &) = delete;
+        Claim &operator=(const Claim &) = delete;
+
+      private:
+        ContentStore &store;
+        const std::string file;
+    };
+
     StoreCounters &counters() { return count; }
     const char *extension() const { return kind.extension; }
 
@@ -114,9 +156,18 @@ class ContentStore
     std::string countersLine() const;
 
   private:
-    /** Read and unpack @p file into @p payload; false (counted) on a
-     *  miss or a damaged container. */
-    bool fetch(const std::string &file, std::string &payload);
+    /** One entry as read: its file bytes, an inflate buffer for
+     *  containers written deflated, and the payload viewing either. */
+    struct Fetched
+    {
+        FileBuffer raw;
+        std::string inflated;
+        std::string_view payload;
+    };
+
+    /** Read @p file and verify its container into @p entry; false
+     *  (counted) on a miss or a damaged container. */
+    bool fetch(const std::string &file, Fetched &entry);
 
     /** Warn about a damaged @p file; count corrupt + miss. False. */
     bool damaged(const std::string &file, const CkptError &e);
@@ -124,6 +175,11 @@ class ContentStore
     const Kind kind;
     StoreCounters count;
     std::atomic<bool> writeWarned{false};
+    /** Paths of the entries under a Claim, guarded by claimLock; a
+     *  handful at most (one per worker), so a vector scan is the set. */
+    std::vector<std::string> claimed;
+    std::mutex claimLock;
+    std::condition_variable claimReleased;
 };
 
 /** The warm-state checkpoint store (`*.vprck`). */

@@ -13,9 +13,11 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "../support/vprz_v1.hh"
 #include "common/io/zio.hh"
 #include "common/random.hh"
 #include "common/state.hh"
@@ -276,6 +278,143 @@ TEST(Vprz, DamagedSizeFieldsThrowBeforeAllocating)
             EXPECT_THROW(vprzUnpack(off, "ckpt"), CkptError) << compress;
         }
     }
+}
+
+/** The payload offset of a container of @p kind. */
+std::size_t
+payloadOffset(const std::string &kind)
+{
+    return rawSizeOffset(kind) + 8 + 8;  // raw and stored sizes
+}
+
+TEST(Vprz, ChecksumCatchesEveryByteFlipTruncationAndAppendedBytes)
+{
+    // A multi-KB payload whose length is not a whole number of 8-byte
+    // words, so the zero-padded tail word is covered too.
+    std::string payload;
+    for (int i = 0; payload.size() < 5000; ++i)
+        payload += "metric." + std::to_string(i * 7919) + ";";
+    payload += "tail";
+    ASSERT_NE(payload.size() % 8, 0u);
+    const std::string packed = vprzPack(payload, "ckpt", /*compress=*/false);
+    EXPECT_EQ(packed[4], 2) << "new containers are version 2";
+    ASSERT_EQ(vprzUnpack(packed, "ckpt"), payload);
+
+    // Every single-byte flip of the payload, with a low, a high and an
+    // all-bits mask: always caught.
+    const std::size_t at = payloadOffset("ckpt");
+    std::size_t caught = 0, tried = 0;
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+        for (unsigned char mask : {0x01, 0x80, 0xff}) {
+            std::string flipped = packed;
+            flipped[at + i] = static_cast<char>(flipped[at + i] ^ mask);
+            ++tried;
+            try {
+                vprzUnpack(flipped, "ckpt");
+            } catch (const CkptError &) {
+                ++caught;
+            }
+        }
+    }
+    EXPECT_EQ(caught, tried);
+
+    // The checksum sealed under a container whose payload lost its last
+    // byte, gained a zero byte, or gained a whole zero word: the sizes
+    // agree, the length mixed into the sum does not.
+    const std::string sum = packed.substr(packed.size() - 8);
+    for (const std::string &other :
+         {payload.substr(0, payload.size() - 1), payload + '\0',
+          payload + std::string(8, '\0')}) {
+        std::string resealed = vprzPack(other, "ckpt", /*compress=*/false);
+        resealed.replace(resealed.size() - 8, 8, sum);
+        EXPECT_THROW(vprzUnpack(resealed, "ckpt"), CkptError)
+            << other.size();
+    }
+    // Truncated or extended containers, and a raw size that disagrees
+    // with the stored one.
+    EXPECT_THROW(vprzUnpack(packed.substr(0, packed.size() - 1), "ckpt"),
+                 CkptError);
+    EXPECT_THROW(vprzUnpack(packed + "x", "ckpt"), CkptError);
+    std::string rawSkew = packed;
+    rawSkew[rawSizeOffset("ckpt")] ^= 0x01;
+    EXPECT_THROW(vprzUnpack(rawSkew, "ckpt"), CkptError);
+}
+
+TEST(Vprz, Version1ContainersStayReadable)
+{
+    // The exact bytes the version-1 writer produced for this payload
+    // (store codec, FNV-1a checksum).
+    const std::string v1(
+        "VPRZ\x01\x00\x04\x00"
+        "ckpt\x13\x00\x00\x00\x00\x00\x00\x00"
+        "\x13\x00\x00\x00\x00\x00\x00\x00the quick brown fox"
+        "\x22\xc1\xd8\x0b\xb4\xb7\xae\x59",
+        55);
+    EXPECT_EQ(vprzUnpack(v1, "ckpt"), "the quick brown fox");
+    EXPECT_EQ(testsupport::asVprzVersion1(
+                  vprzPack("the quick brown fox", "ckpt", false)),
+              v1);
+    std::string flipped = v1;
+    flipped[30] ^= 0x01;
+    EXPECT_THROW(vprzUnpack(flipped, "ckpt"), CkptError);
+
+    // Deflated version-1 containers (store entries and archives as they
+    // were written before version 2) round-trip too.
+    std::string payload;
+    for (int i = 0; i < 500; ++i)
+        payload += "warm line " + std::to_string(i) + "\n";
+    EXPECT_EQ(vprzUnpack(testsupport::packVprzVersion1(payload, "result"),
+                         "result"),
+              payload);
+
+    // Each version reads only its own checksum, and no other version
+    // is read at all.
+    std::string v2 = vprzPack("the quick brown fox", "ckpt", false);
+    v2[4] = 1;
+    EXPECT_THROW(vprzUnpack(v2, "ckpt"), CkptError);
+    std::string v3 = v1;
+    v3[4] = 3;
+    EXPECT_THROW(vprzUnpack(v3, "ckpt"), CkptError);
+}
+
+TEST(Vprz, PayloadViewsStoredBytesInPlace)
+{
+    std::string inflated;
+    const std::string stored = vprzPack("in place", "ckpt", false);
+    const std::string_view view = vprzPayload(stored, "ckpt", inflated);
+    EXPECT_EQ(view, "in place");
+    EXPECT_TRUE(view.data() >= stored.data() &&
+                view.data() < stored.data() + stored.size())
+        << "a stored payload must be viewed, not copied";
+    EXPECT_TRUE(inflated.empty());
+
+    const std::string deflated = vprzPack("in place", "ckpt", true);
+    EXPECT_EQ(vprzPayload(deflated, "ckpt", inflated), "in place");
+}
+
+TEST(Vprz, FileBufferReadsWholeRegularFilesOnly)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir()) / "vpr_file_buffer";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::string data;
+    for (int i = 0; i < 100000; ++i)
+        data.push_back(static_cast<char>(i * 13));
+    const std::string path = (dir / "blob").string();
+    ASSERT_TRUE(writeFileAtomic(path, data));
+    FileBuffer buf;
+    ASSERT_TRUE(buf.read(path));
+    EXPECT_EQ(buf.view(), data);
+
+    ASSERT_TRUE(writeFileAtomic(path, ""));
+    ASSERT_TRUE(buf.read(path));
+    EXPECT_TRUE(buf.view().empty());
+
+    EXPECT_FALSE(buf.read((dir / "missing").string()));
+    EXPECT_FALSE(buf.read(dir.string()));  // a directory
+    EXPECT_TRUE(buf.view().empty());
+    fs::remove_all(dir);
 }
 
 TEST(Vprz, ReadFileBytesReadsWholeFilesAndRejectsDirectories)

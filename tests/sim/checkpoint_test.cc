@@ -10,12 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "../support/vprz_v1.hh"
 #include "common/io/zio.hh"
 #include "common/state.hh"
 #include "sim/experiment.hh"
@@ -332,6 +337,46 @@ TEST(Checkpoint, DamagedCacheFilesFallBackToColdByteIdentically)
     fs::remove_all(ref.ckpt.dir);
 }
 
+TEST(Checkpoint, Version1ContainersServeEveryCell)
+{
+    // Checkpoints saved before containers moved to version 2 are
+    // deflated and checksummed with FNV-1a: a grid over a directory of
+    // them restores every cell (no miss, no corrupt file) and exports
+    // the records of a run without checkpoints.
+    const std::string dir = freshDir("v1_container");
+    std::vector<GridCell> plain;
+    for (RenameScheme scheme :
+         {RenameScheme::Conventional, RenameScheme::VPAllocAtIssue}) {
+        SimConfig c = sampledQuick();
+        c.setScheme(scheme);
+        for (const char *bench : {"vortex", "swim"})
+            plain.push_back({bench, c});
+    }
+    std::vector<GridCell> stored = plain;
+    for (GridCell &cell : stored)
+        cell.config.ckpt.dir = dir;
+    runGrid(stored, 1);  // saves one checkpoint per benchmark
+    ASSERT_EQ(countCheckpoints(dir), 2u);
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        std::string bytes;
+        ASSERT_TRUE(readFileBytes(entry.path().string(), bytes));
+        ASSERT_TRUE(writeFileAtomic(
+            entry.path().string(),
+            testsupport::packVprzVersion1(vprzUnpack(bytes, "ckpt"),
+                                          "ckpt")));
+    }
+
+    const CounterSnap before = CounterSnap::now();
+    const std::string csv = renderCsv(stored, runGrid(stored, 2));
+    const CounterSnap after = CounterSnap::now();
+    EXPECT_EQ(after.hits - before.hits, stored.size());
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.corrupt, before.corrupt);
+    EXPECT_EQ(after.stores, before.stores);
+    EXPECT_EQ(csv, renderCsv(plain, runGrid(plain, 1)));
+    fs::remove_all(dir);
+}
+
 TEST(Checkpoint, NoWarmupMeansNoCheckpoint)
 {
     SimConfig c = sampledQuick();
@@ -467,6 +512,69 @@ TEST(Checkpoint, GridCellsHitTheCacheAcrossJobs)
     // The warm key ignores the scheme: one checkpoint per benchmark.
     EXPECT_EQ(countCheckpoints(dir), 2u);
     fs::remove_all(dir);
+}
+
+TEST(Checkpoint, CellsSharingAWarmKeyFastForwardOnceAcrossWorkers)
+{
+    // A cold sampled grid on four workers whose cells share two warm
+    // keys, same-key cells adjacent so they start together: one cell
+    // per key fast-forwards and saves, the others wait and restore —
+    // the counters of a serial run, and its records.
+    const std::string dir = freshDir("single_flight");
+    std::vector<GridCell> plain;
+    for (const char *bench : {"vortex", "swim"}) {
+        for (RenameScheme scheme :
+             {RenameScheme::Conventional, RenameScheme::VPAllocAtWriteback,
+              RenameScheme::VPAllocAtIssue}) {
+            for (std::uint16_t regs : {48, 64}) {
+                SimConfig c = sampledQuick();
+                c.setScheme(scheme);
+                c.setPhysRegs(regs);
+                plain.push_back({bench, c});
+            }
+        }
+    }
+    std::vector<GridCell> stored = plain;
+    for (GridCell &cell : stored)
+        cell.config.ckpt.dir = dir;
+
+    const CounterSnap before = CounterSnap::now();
+    const std::string csv = renderCsv(stored, runGrid(stored, 4));
+    const CounterSnap after = CounterSnap::now();
+    EXPECT_EQ(after.misses - before.misses, 2u);
+    EXPECT_EQ(after.stores - before.stores, 2u);
+    EXPECT_EQ(after.hits - before.hits, stored.size() - 2);
+    EXPECT_EQ(after.corrupt, before.corrupt);
+    EXPECT_EQ(countCheckpoints(dir), 2u);
+    EXPECT_EQ(csv, renderCsv(plain, runGrid(plain, 1)));
+    fs::remove_all(dir);
+}
+
+TEST(Checkpoint, ClaimPassesToTheNextWaiterWhenItsHolderThrows)
+{
+    // The single-flight claim behind the test above: a second claim on
+    // a held entry waits; a claim on another entry does not; and a
+    // holder that throws still releases, so the waiter takes over.
+    ContentStore &store = checkpointStore();
+    std::atomic<int> stage{0};
+    std::thread waiter;
+    try {
+        const ContentStore::Claim first(store, "d", "vortex", 42);
+        { const ContentStore::Claim other(store, "d", "vortex", 43); }
+        waiter = std::thread([&] {
+            stage = 1;
+            const ContentStore::Claim second(store, "d", "vortex", 42);
+            stage = 2;
+        });
+        while (stage.load() == 0)
+            std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        EXPECT_EQ(stage.load(), 1) << "a claim on a held entry did not wait";
+        throw std::runtime_error("the holder's fast-forward failed");
+    } catch (const std::runtime_error &) {
+    }
+    waiter.join();
+    EXPECT_EQ(stage.load(), 2);
 }
 
 } // namespace

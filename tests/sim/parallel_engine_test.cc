@@ -82,5 +82,22 @@ TEST(ParallelEngine, RunAllUsesConfigJobs)
     }
 }
 
+TEST(ParallelEngineDeathTest, BadCellFailsOnceBeforeAnyWorkerStarts)
+{
+    // One cell whose sampling period exceeds its measurement budget,
+    // among good ones, on four workers: the grid is checked on the
+    // calling thread first, so stderr holds exactly one fatal line (and
+    // its source location) naming the cell, not one per worker.
+    std::vector<GridCell> cells;
+    for (const char *name : {"compress", "swim", "li", "go", "vortex"})
+        cells.push_back({name, tiny()});
+    cells[2].config.sampling.enable = true;
+    cells[2].config.sampling.periodInsts = 2 * cells[2].config.measureInsts;
+    EXPECT_EXIT(runGrid(cells, 4), ::testing::ExitedWithCode(1),
+                "^fatal: grid cell 2 \\(li\\): sampling: period "
+                "\\(10000\\) exceeds the measurement budget \\(5000\\)"
+                "[^\n]*\n  @ [^\n]*\n$");
+}
+
 } // namespace
 } // namespace vpr

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/vprz_v1.hh"
 #include "common/io/zio.hh"
 #include "common/state.hh"
 #include "sim/experiment.hh"
@@ -257,6 +258,39 @@ TEST(ResultCache, CorruptEntriesFallBackAndRepair)
     EXPECT_EQ(renderCsv(cells, runGrid(cells, 1)), reference);
     EXPECT_EQ(CounterSnap::now().hits, after.hits + cells.size());
     EXPECT_EQ(CounterSnap::now().corrupt, after.corrupt);
+}
+
+TEST(ResultCache, Version1EntriesServeEveryCell)
+{
+    // A cache filled before containers moved to version 2 holds
+    // deflated entries checksummed with FNV-1a. They keep their names
+    // (the entry format and digest did not change) and must serve every
+    // cell: no miss, no corrupt entry, byte-identical records.
+    const std::string dir = freshDir("v1_container");
+    SimConfig config = quick();
+    config.resultCache.dir = dir;
+    const std::vector<GridCell> cells = buildSweepGrid(
+        {"compress", "go"}, config,
+        {SweepAxis{"core.rename.regfile_size", {"48", "64", "96"}}});
+    const std::string reference = renderCsv(cells, runGrid(cells, 1));
+    for (const GridCell &cell : cells) {
+        const std::string path =
+            resultStore().path(dir, cell.benchmark, resultCacheDigest(cell));
+        std::string bytes;
+        ASSERT_TRUE(readFileBytes(path, bytes));
+        ASSERT_TRUE(writeFileAtomic(
+            path, testsupport::packVprzVersion1(vprzUnpack(bytes, "result"),
+                                                "result")));
+    }
+
+    const CounterSnap before = CounterSnap::now();
+    EXPECT_EQ(renderCsv(cells, runGrid(cells, 2)), reference);
+    const CounterSnap after = CounterSnap::now();
+    EXPECT_EQ(after.hits - before.hits, cells.size());
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.corrupt, before.corrupt);
+    EXPECT_EQ(after.stores, before.stores);
+    fs::remove_all(dir);
 }
 
 TEST(ResultCache, AllSchemesDetailedAndSampledReplayByteIdentically)

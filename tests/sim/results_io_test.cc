@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "../support/vprz_v1.hh"
 #include "common/io/zio.hh"
 #include "sim/results_io.hh"
 
@@ -556,6 +557,30 @@ TEST(ResultsVprz, CompressedArchiveRoundTripsByteIdentically)
 
     std::remove(plainPath.c_str());
     std::remove(vprzPath.c_str());
+}
+
+TEST(ResultsVprz, Version1ArchiveStillMerges)
+{
+    // An archive written before containers moved to version 2
+    // (deflated, FNV-1a checksum) reads and merges like a plain file.
+    std::vector<GridCell> cells = {goldenCell(), goldenCell()};
+    std::vector<SimResults> results = {goldenResult(), goldenResult()};
+    const std::string dir = ::testing::TempDir();
+    const std::string plainPath = dir + "/vpr_results_v1.csv";
+    const std::string v1Path = dir + "/vpr_results_v1.vprz";
+    writeResultsFile(plainPath, "golden", ShardSpec{}, {0, 1}, cells,
+                     results);
+    writeResultsFile(v1Path, "golden", ShardSpec{}, {0, 1}, cells, results);
+    std::string raw;
+    ASSERT_TRUE(readFileBytes(v1Path, raw));
+    ASSERT_TRUE(writeFileAtomic(v1Path, testsupport::asVprzVersion1(raw)));
+
+    std::ostringstream fromPlain, fromV1;
+    writeMergedCsv(fromPlain, mergeResults({readResultsCsvFile(plainPath)}));
+    writeMergedCsv(fromV1, mergeResults({readResultsCsvFile(v1Path)}));
+    EXPECT_EQ(fromV1.str(), fromPlain.str());
+    std::remove(plainPath.c_str());
+    std::remove(v1Path.c_str());
 }
 
 TEST(ResultsVprzDeath, CorruptedArchiveIsFatal)

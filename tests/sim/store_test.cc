@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <regex>
 #include <string>
+#include <string_view>
 
 #include "common/io/zio.hh"
 #include "sim/config.hh"
@@ -49,10 +50,10 @@ TEST(ContentStore, SaveLoadCountsAndFallsBackOnDamage)
                         stores = c.stores.load();
 
     std::string got;
-    auto decode = [&got](const std::string &payload) {
+    auto decode = [&got](std::string_view payload) {
         if (payload == "bad")
             throw CkptError("decoder refused the payload");
-        got = payload;
+        got = std::string(payload);
     };
     EXPECT_FALSE(store.load(dir, "go", 7, decode));  // no file: a miss
     EXPECT_EQ(c.misses.load(), misses + 1);

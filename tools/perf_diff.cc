@@ -23,8 +23,8 @@
  * libbenchmark and is "debug" on Debian even for release simulator
  * trees). A debug *baseline* is a hard error regardless of --gate:
  * every diff against it is meaningless, so there is nothing useful to
- * print (the BENCH_6/7/8.json incident — three baselines silently
- * recorded from a debug tree). A debug *current* file draws a warning,
+ * print (three early baselines were once recorded from a debug tree
+ * without anyone noticing). A debug *current* file draws a warning,
  * and a failing exit under --gate.
  *
  * The parser is deliberately small: it scans the "benchmarks" array for
